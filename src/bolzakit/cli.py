@@ -77,7 +77,6 @@ def _solver_config(args) -> SolverConfig:
             inner_tol=args.inner_tol,
             inner_max_steps=args.inner_max_steps,
             feas_tol=args.feas_tol,
-            seed=args.seed,
         )
     except ValueError as err:
         raise _CliError(f"bad solver configuration: {err}") from err
@@ -91,7 +90,6 @@ def _add_solver_flags(p: argparse.ArgumentParser):
     p.add_argument("--inner-tol", type=float, default=1e-7)
     p.add_argument("--inner-max-steps", type=int, default=4000)
     p.add_argument("--feas-tol", type=float, default=1e-8)
-    p.add_argument("--seed", type=int, default=0)
 
 
 def _history_csv(history) -> str:
@@ -404,6 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("trajectory")
     p.add_argument("--samples", type=int, default=50)
     p.add_argument("--delta", type=float, default=0.1)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
     _add_solver_flags(p)
     p.set_defaults(func=_cmd_probe_cq)

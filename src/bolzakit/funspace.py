@@ -11,33 +11,39 @@ All values are float64 and immutable after construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform grid on [0, T] with N cells of width h = T/N."""
+    """Uniform grid on [0, T] with N cells of width h = T/N.
+
+    The node times are computed once and shared read-only."""
 
     T: float
     N: int
+    _nodes: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (self.T > 0.0 and np.isfinite(self.T)):
             raise ValueError("grid horizon T must be a positive finite real")
         if self.N < 1:
             raise ValueError("grid must have at least one cell")
+        nodes = np.linspace(0.0, self.T, self.N + 1)
+        nodes.setflags(write=False)
+        object.__setattr__(self, "_nodes", nodes)
 
     @property
     def h(self) -> float:
         return self.T / self.N
 
     def nodes(self) -> np.ndarray:
-        return np.linspace(0.0, self.T, self.N + 1)
+        return self._nodes
 
     def cell_lefts(self) -> np.ndarray:
-        return self.nodes()[:-1]
+        return self._nodes[:-1]
 
     def cell_mids(self) -> np.ndarray:
         return self.nodes()[:-1] + 0.5 * self.h

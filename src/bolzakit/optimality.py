@@ -236,10 +236,8 @@ def weierstrass_gap(
     """
     pb._check_grid(P, x)
     grid = x.grid
-    t = grid.cell_lefts()
-    X, V = x.values[:-1], x.velocities()
-    _, theta_v = P.theta_grad_cells(t, X, V)
-    W = V + P.g_cells(t, X)
+    _, theta_v = P.theta_grad_cells(grid.cell_lefts(), x.values[:-1], x.velocities())
+    W, _ = pb.constraint_image(P, grid, x.values)
     W_feas = project(P.omega1, W)
     C = p.midpoint_values() - theta_v
     gaps: list[float] = []
@@ -278,9 +276,7 @@ def mu_membership(P: pb.ProblemSpec, x: Trajectory, mu: CellPath) -> float:
     pb._check_grid(P, x)
     if not mu.grid.compatible(x.grid) or mu.n != x.n:
         raise pb.ProblemError("mu must live on the trajectory's grid")
-    grid = x.grid
-    t = grid.cell_lefts()
-    W = x.velocities() + P.g_cells(t, x.values[:-1])
+    W, _ = pb.constraint_image(P, x.grid, x.values)
     W_feas = project(P.omega1, W)
     res = normal_cone_residual(P.omega1, W_feas, mu.values, feas_tol=1e-6)
     return float(np.asarray(res).max())

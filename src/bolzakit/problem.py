@@ -4,9 +4,12 @@ A ProblemSpec holds the terminal cost phi(x(0), x(T)), the running cost
 theta(t, x, v), the drift g(t, x), the velocity constraint set (for
 x' + g(t,x)) and the endpoint constraint set for (x(0), x(T)).  On a grid
 the problem reduces to a finite-dimensional program: this module provides
-the discrete cost, its directional derivative, the constraint image
-(velocity part and endpoints), the constraint linearization, and the
-feasibility defects.
+the discrete cost and its node gradient, the constraint image (velocity
+part and endpoints), the constraint linearization and its adjoint, and
+the feasibility defects.  The cost, its gradient, the image and the
+adjoint are each one kernel on node arrays (cost, cost_gradient,
+constraint_image, constraint_adjoint); the solver calls them directly
+and the Trajectory functions call them after checking their arguments.
 
 Quadrature convention: cell integrands are evaluated at the left node in
 (t, x) with the exact cell velocity, i.e. a rectangle rule that is
@@ -184,43 +187,89 @@ def _check_grid(P: ProblemSpec, x: Trajectory):
         )
 
 
+# ---- kernels on node arrays ---------------------------------------------
+# X has shape (N+1, n) on `grid`.  The kernels check nothing and accept
+# non-finite values: the solver evaluates line-search trials with them,
+# while a Trajectory rejects non-finite nodes.
+
+
+def _cells(grid: Grid, X: np.ndarray):
+    """Left-node times, left-node states and exact cell velocities (the
+    slice difference is np.diff without its per-call overhead)."""
+    return grid.cell_lefts(), X[:-1], (X[1:] - X[:-1]) / grid.h
+
+
+def cost(P: ProblemSpec, grid: Grid, X: np.ndarray) -> float:
+    """J_h = phi(x_0, x_N) + sum_k h * theta(t_k, x_k, v_k)."""
+    t, XL, V = _cells(grid, X)
+    running = float(grid.h * P.theta_cells(t, XL, V).sum())
+    return P.phi_value(X[0], X[-1]) + running
+
+
+def cost_gradient(P: ProblemSpec, grid: Grid, X: np.ndarray) -> np.ndarray:
+    """Node gradient of J_h, shape (N+1, n)."""
+    t, XL, V = _cells(grid, X)
+    theta_x, theta_v = P.theta_grad_cells(t, XL, V)
+    gx0, gxT = P.phi_gradients(X[0], X[-1])
+    grad = np.zeros_like(X)
+    grad[:-1] += grid.h * theta_x
+    grad[:-1] -= theta_v
+    grad[1:] += theta_v
+    grad[0] += gx0
+    grad[-1] += gxT
+    return grad
+
+
+def constraint_image(
+    P: ProblemSpec, grid: Grid, X: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(W, E): the velocity part w_k = v_k + g(t_k, x_k), shape (N, n), and
+    the endpoint pair E = (x_0, x_N)."""
+    t, XL, V = _cells(grid, X)
+    return V + P.g_cells(t, XL), np.concatenate([X[0], X[-1]])
+
+
+def constraint_adjoint(
+    P: ProblemSpec, grid: Grid, X: np.ndarray, MU: np.ndarray, S: np.ndarray
+) -> np.ndarray:
+    """Transpose of the constraint linearization at X: the node gradient
+    of sum_k h <MU_k, w_k(X)> + <S, (x_0, x_N)> for cell values MU (N, n)
+    and an endpoint vector S (2n,)."""
+    n = P.n
+    G = P.g_jacobian_cells(grid.cell_lefts(), X[:-1])
+    out = np.zeros_like(X)
+    out[:-1] = grid.h * np.einsum("kij,ki->kj", G, MU) - MU
+    out[1:] += MU
+    out[0] += S[:n]
+    out[-1] += S[n:]
+    return out
+
+
+# ---- Trajectory interface ------------------------------------------------
+
+
 def evaluate_cost(P: ProblemSpec, x: Trajectory) -> float:
     """phi(x_0, x_N) + sum_k h * theta(t_k, x_k, v_k)."""
     _check_grid(P, x)
-    grid = x.grid
-    t = grid.cell_lefts()
-    X = x.values[:-1]
-    V = x.velocities()
-    running = float(grid.h * P.theta_cells(t, X, V).sum())
-    return P.phi_value(x.values[0], x.values[-1]) + running
+    return cost(P, x.grid, x.values)
 
 
 def gateaux_J(P: ProblemSpec, x: Trajectory, u: Trajectory) -> float:
     """Directional derivative of the cost at x in direction u:
-    <grad phi, (u(0), u(T))> + int [<theta_x, u> + <theta_v, u'>]."""
+    <grad phi, (u(0), u(T))> + int [<theta_x, u> + <theta_v, u'>],
+    computed as the node pairing <cost_gradient(x), u>."""
     _check_grid(P, x)
     if not x.grid.compatible(u.grid) or u.n != x.n:
         raise ProblemError("direction must live on the trajectory's grid")
-    grid = x.grid
-    t = grid.cell_lefts()
-    X, V = x.values[:-1], x.velocities()
-    theta_x, theta_v = P.theta_grad_cells(t, X, V)
-    U, Udot = u.values[:-1], u.velocities()
-    integral = grid.h * float(
-        np.einsum("ki,ki->", theta_x, U) + np.einsum("ki,ki->", theta_v, Udot)
-    )
-    gx0, gxT = P.phi_gradients(x.values[0], x.values[-1])
-    terminal = float(gx0 @ u.values[0] + gxT @ u.values[-1])
-    return terminal + integral
+    grad = cost_gradient(P, x.grid, x.values)
+    return float(np.einsum("ki,ki->", grad, u.values))
 
 
 def apply_constraint(P: ProblemSpec, x: Trajectory) -> ReducedImage:
     """Constraint image: w_k = v_k + g(t_k, x_k) and (x_0, x_N)."""
     _check_grid(P, x)
-    grid = x.grid
-    W = x.velocities() + P.g_cells(grid.cell_lefts(), x.values[:-1])
-    endpoints = np.concatenate([x.values[0], x.values[-1]])
-    return ReducedImage(CellPath(grid, W), endpoints)
+    W, endpoints = constraint_image(P, x.grid, x.values)
+    return ReducedImage(CellPath(x.grid, W), endpoints)
 
 
 def apply_constraint_derivative(

@@ -52,7 +52,6 @@ class SolverConfig:
     inner_tol: float = 1e-7
     inner_max_steps: int = 4000
     feas_tol: float = 1e-8
-    seed: int = 0
 
     def __post_init__(self):
         if self.grid_N < 1 or self.outer_iters < 1 or self.inner_max_steps < 1:
@@ -86,65 +85,27 @@ class RestoreResult:
     converged: bool
 
 
-# ---------------------------------------------------------------------------
-# smooth objectives for the ALM core
-
-
-class _CostObjective:
-    """The discrete Bolza cost J_h with its node gradient."""
-
-    def __init__(self, P: pb.ProblemSpec, grid: Grid):
-        self.P = P
-        self.grid = grid
-        self.t = grid.cell_lefts()
-
-    def value(self, X: np.ndarray) -> float:
-        P, h = self.P, self.grid.h
-        V = np.diff(X, axis=0) / h
-        running = float(h * P.theta_cells(self.t, X[:-1], V).sum())
-        return P.phi_value(X[0], X[-1]) + running
-
-    def value_and_grad(self, X: np.ndarray) -> tuple[float, np.ndarray]:
-        P, h = self.P, self.grid.h
-        V = np.diff(X, axis=0) / h
-        theta = P.theta_cells(self.t, X[:-1], V)
-        theta_x, theta_v = P.theta_grad_cells(self.t, X[:-1], V)
-        gx0, gxT = P.phi_gradients(X[0], X[-1])
-        value = P.phi_value(X[0], X[-1]) + float(h * theta.sum())
-        grad = np.zeros_like(X)
-        grad[:-1] += h * theta_x
-        grad[:-1] -= theta_v
-        grad[1:] += theta_v
-        grad[0] += gx0
-        grad[-1] += gxT
-        return value, grad
-
-
-class _RestoreObjective:
+def _restore_objective(x_ref: Trajectory):
     """Half squared deviation from a reference curve, measured on the
-    initial value and the cell velocities."""
+    initial value and the cell velocities: (value, node gradient)."""
+    h = x_ref.grid.h
+    x0_ref = x_ref.values[0]
+    v_ref = x_ref.velocities()
 
-    def __init__(self, x_ref: Trajectory):
-        self.grid = x_ref.grid
-        self.x0_ref = x_ref.values[0]
-        self.v_ref = x_ref.velocities()
-
-    def value(self, X: np.ndarray) -> float:
-        h = self.grid.h
-        dv = np.diff(X, axis=0) / h - self.v_ref
-        d0 = X[0] - self.x0_ref
+    def value(X: np.ndarray) -> float:
+        d0 = X[0] - x0_ref
+        dv = np.diff(X, axis=0) / h - v_ref
         return float(0.5 * (d0 @ d0) + 0.5 * h * np.einsum("ki,ki->", dv, dv))
 
-    def value_and_grad(self, X: np.ndarray) -> tuple[float, np.ndarray]:
-        h = self.grid.h
-        dv = np.diff(X, axis=0) / h - self.v_ref
-        d0 = X[0] - self.x0_ref
-        value = float(0.5 * (d0 @ d0) + 0.5 * h * np.einsum("ki,ki->", dv, dv))
-        grad = np.zeros_like(X)
-        grad[:-1] -= dv
-        grad[1:] += dv
-        grad[0] += d0
-        return value, grad
+    def grad(X: np.ndarray) -> np.ndarray:
+        dv = np.diff(X, axis=0) / h - v_ref
+        out = np.zeros_like(X)
+        out[:-1] -= dv
+        out[1:] += dv
+        out[0] += X[0] - x0_ref
+        return out
+
+    return value, grad
 
 
 # ---------------------------------------------------------------------------
@@ -152,76 +113,63 @@ class _RestoreObjective:
 
 
 class _AlmState:
+    """ALM iterate for min value(X) subject to the problem's constraints;
+    ``value`` and ``grad`` are the objective and its node gradient."""
+
     def __init__(self, P: pb.ProblemSpec, cfg: SolverConfig, grid: Grid,
-                 objective, X0: np.ndarray):
+                 value, grad, X0: np.ndarray):
         self.P = P
         self.cfg = cfg
         self.grid = grid
-        self.objective = objective
+        self.value = value
+        self.grad = grad
         self.X = X0.copy()
+        # the node array under evaluation: the snapshot of a domain error
+        self.point = self.X
         self.mu = np.zeros((grid.N, P.n))
         self.s = np.zeros(2 * P.n)
         self.rho = cfg.penalty_rho
-        self.t = grid.cell_lefts()
         self.step = 1.0
-
-    # -- constraint pieces ------------------------------------------------
-
-    def w(self, X: np.ndarray) -> np.ndarray:
-        V = np.diff(X, axis=0) / self.grid.h
-        return V + self.P.g_cells(self.t, X[:-1])
-
-    def endpoints(self, X: np.ndarray) -> np.ndarray:
-        return np.concatenate([X[0], X[-1]])
-
-    def constraint_adjoint(self, X: np.ndarray, MU: np.ndarray,
-                           S: np.ndarray) -> np.ndarray:
-        """Node gradient of sum_k h <MU_k, w_k(X)> + <S, (x_0, x_N)>."""
-        h = self.grid.h
-        n = self.P.n
-        G = self.P.g_jacobian_cells(self.t, X[:-1])
-        out = np.zeros_like(X)
-        out[:-1] += h * np.einsum("kij,ki->kj", G, MU) - MU
-        out[1:] += MU
-        out[0] += S[:n]
-        out[-1] += S[n:]
-        return out
 
     # -- augmented objective ----------------------------------------------
 
-    def _penalty_residuals(self, X: np.ndarray):
-        W = self.w(X)
-        Y = project(self.P.omega1, W + self.mu / self.rho)
-        E = self.endpoints(X)
-        Z = project(self.P.omega2, E + self.s / self.rho)
-        r_cells = W - Y + self.mu / self.rho
-        r_end = E - Z + self.s / self.rho
-        return r_cells, r_end
+    def _shifted_residuals(self, X: np.ndarray):
+        """Constraint image minus its projection after the dual shift:
+        w - proj(w + mu/rho) per cell and e - proj(e + s/rho)."""
+        W, E = pb.constraint_image(self.P, self.grid, X)
+        dW = W - project(self.P.omega1, W + self.mu / self.rho)
+        dE = E - project(self.P.omega2, E + self.s / self.rho)
+        return dW, dE
+
+    def _penalty(self, X: np.ndarray):
+        """Penalty value and the shifted residuals it squares."""
+        dW, dE = self._shifted_residuals(X)
+        r_cells = dW + self.mu / self.rho
+        r_end = dE + self.s / self.rho
+        pen = 0.5 * self.rho * (
+            self.grid.h * float(np.einsum("ki,ki->", r_cells, r_cells))
+            + float(r_end @ r_end)
+        )
+        return pen, r_cells, r_end
 
     def aug_value(self, X: np.ndarray) -> float:
-        base = self.objective.value(X)
-        r_cells, r_end = self._penalty_residuals(X)
-        h = self.grid.h
-        pen = 0.5 * self.rho * (
-            h * float(np.einsum("ki,ki->", r_cells, r_cells)) + float(r_end @ r_end)
-        )
-        return base + pen
+        self.point = X
+        base = self.value(X)
+        return base + self._penalty(X)[0]
 
     def aug_value_and_grad(self, X: np.ndarray) -> tuple[float, np.ndarray]:
-        base, grad = self.objective.value_and_grad(X)
-        r_cells, r_end = self._penalty_residuals(X)
-        h = self.grid.h
-        n = self.P.n
-        pen = 0.5 * self.rho * (
-            h * float(np.einsum("ki,ki->", r_cells, r_cells)) + float(r_end @ r_end)
+        self.point = X
+        base = self.value(X)
+        pen, r_cells, r_end = self._penalty(X)
+        grad = self.grad(X) + self.rho * pb.constraint_adjoint(
+            self.P, self.grid, X, r_cells, r_end
         )
-        G = self.P.g_jacobian_cells(self.t, X[:-1])
-        grad = grad.copy()
-        grad[:-1] += self.rho * (h * np.einsum("kij,ki->kj", G, r_cells) - r_cells)
-        grad[1:] += self.rho * r_cells
-        grad[0] += self.rho * r_end[:n]
-        grad[-1] += self.rho * r_end[n:]
         return base + pen, grad
+
+    def _lagrangian_gradient(self, S: np.ndarray) -> np.ndarray:
+        """Node gradient of the plain Lagrangian at (X, mu, S)."""
+        X = self.X
+        return self.grad(X) + pb.constraint_adjoint(self.P, self.grid, X, self.mu, S)
 
     # -- metric descent ---------------------------------------------------
 
@@ -251,23 +199,10 @@ class _AlmState:
         out[1:] = x0 + h * np.cumsum(V, axis=0)
         return out
 
-    def stationarity(self, X: np.ndarray) -> float:
-        """Metric norm of the plain-Lagrangian gradient at (X, mu, s)."""
-        _, grad = self.objective.value_and_grad(X)
-        grad = grad + self.constraint_adjoint(X, self.mu, self.s)
-        _, _, norm_sq = self._metric_direction(grad)
-        return float(np.sqrt(norm_sq))
-
     def inner_minimize(self):
         cfg = self.cfg
         X = self.X
-        try:
-            F, grad = self.aug_value_and_grad(X)
-        except pb.ex.ExprDomainError as err:
-            raise SolverError(
-                f"expression domain error at the current iterate: {err}",
-                snapshot=X.copy(),
-            ) from err
+        F, grad = self.aug_value_and_grad(X)
         eps = float(np.finfo(float).eps)
         for _ in range(cfg.inner_max_steps):
             if F <= _OBJECTIVE_FLOOR:
@@ -285,14 +220,7 @@ class _AlmState:
             accepted = False
             while alpha * norm_sq > plateau:
                 trial = self._apply_step(X, d0, dV, alpha)
-                try:
-                    F_trial = self.aug_value(trial)
-                except pb.ex.ExprDomainError as err:
-                    raise SolverError(
-                        f"expression domain error during line search: {err}",
-                        snapshot=trial.copy(),
-                    ) from err
-                if F_trial <= F - _ARMIJO_C * alpha * norm_sq:
+                if self.aug_value(trial) <= F - _ARMIJO_C * alpha * norm_sq:
                     accepted = True
                     break
                 alpha *= 0.5
@@ -307,13 +235,7 @@ class _AlmState:
             alpha = self.step
             for _ in range(8):
                 trial = self._apply_step(X, d0, dV, alpha)
-                try:
-                    F_t, grad_t = self.aug_value_and_grad(trial)
-                except pb.ex.ExprDomainError as err:
-                    raise SolverError(
-                        f"expression domain error during line search: {err}",
-                        snapshot=trial.copy(),
-                    ) from err
+                F_t, grad_t = self.aug_value_and_grad(trial)
                 _, _, ns_t = self._metric_direction(grad_t)
                 if ns_t <= 0.995 * norm_sq:
                     X, F, grad = trial, F_t, grad_t
@@ -322,15 +244,12 @@ class _AlmState:
                 alpha *= 0.5
             if not advanced:
                 break  # true stationarity floor for this arithmetic
-        self.X = X
+        self.X = self.point = X
 
     def update_duals(self):
-        W = self.w(self.X)
-        Y = project(self.P.omega1, W + self.mu / self.rho)
-        self.mu = self.mu + self.rho * (W - Y)
-        E = self.endpoints(self.X)
-        Z = project(self.P.omega2, E + self.s / self.rho)
-        self.s = self.s + self.rho * (E - Z)
+        dW, dE = self._shifted_residuals(self.X)
+        self.mu = self.mu + self.rho * dW
+        self.s = self.s + self.rho * dE
 
     def initialize_endpoint_duals(self):
         """Least-squares endpoint multipliers, projected onto the normal
@@ -340,13 +259,18 @@ class _AlmState:
         makes the Lagrangian gradient vanish immediately, so a solve
         started at an optimum converges in one outer iteration.
         """
-        _, grad = self.objective.value_and_grad(self.X)
-        grad = grad + self.constraint_adjoint(
-            self.X, self.mu, np.zeros(2 * self.P.n)
-        )
+        grad = self._lagrangian_gradient(np.zeros(2 * self.P.n))
         xi = -np.concatenate([grad[0], grad[-1]])
-        anchor = project(self.P.omega2, self.endpoints(self.X))
-        self.s = project_normal_cone(self.P.omega2, anchor, xi)
+        _, E = pb.constraint_image(self.P, self.grid, self.X)
+        self.s = project_normal_cone(self.P.omega2, project(self.P.omega2, E), xi)
+
+    def measure(self) -> tuple[float, float, float, float]:
+        """(objective, velocity defect, endpoint defect, stationarity) of
+        the current iterate; stationarity is the metric norm of the
+        plain-Lagrangian gradient at (X, mu, s)."""
+        vdef, edef = pb.feasibility_residual(self.P, Trajectory(self.grid, self.X))
+        _, _, norm_sq = self._metric_direction(self._lagrangian_gradient(self.s))
+        return self.value(self.X), vdef, edef, float(np.sqrt(norm_sq))
 
 
 def _default_init(P: pb.ProblemSpec, grid: Grid) -> np.ndarray:
@@ -357,49 +281,51 @@ def _default_init(P: pb.ProblemSpec, grid: Grid) -> np.ndarray:
     return (1.0 - lam) * a + lam * b
 
 
-def _run_alm(P: pb.ProblemSpec, cfg: SolverConfig, grid: Grid, objective,
+def _run_alm(P: pb.ProblemSpec, cfg: SolverConfig, grid: Grid, value, grad,
              X0: np.ndarray):
-    state = _AlmState(P, cfg, grid, objective, X0)
+    """Minimize value(X) (node gradient grad(X)) over the constraints of P
+    from X0.
+
+    Each iterate is measured once.  Returns the final state, the history
+    rows, whether the run converged, and the final iterate's measurement
+    (objective, velocity defect, endpoint defect, stationarity).  An
+    expression domain error becomes a SolverError whose snapshot is the
+    node array whose evaluation failed.
+    """
+    state = _AlmState(P, cfg, grid, value, grad, X0)
     history = []
     converged = False
     prev_feas = np.inf
     try:
         state.initialize_endpoint_duals()
+        objective, vdef, edef, stat = state.measure()
         for outer in range(1, cfg.outer_iters + 1):
-            x_traj = Trajectory(grid, state.X)
-            vdef, edef = pb.feasibility_residual(P, x_traj)
-            feas = vdef + edef
-            stat = state.stationarity(state.X)
             history.append(
                 {
                     "outer_iter": outer,
-                    "objective": objective.value(state.X),
+                    "objective": objective,
                     "velocity_defect": vdef,
                     "endpoint_defect": edef,
                     "rho": state.rho,
                 }
             )
-            if feas <= cfg.feas_tol and stat <= cfg.inner_tol:
+            if vdef + edef <= cfg.feas_tol and stat <= cfg.inner_tol:
                 converged = True
                 break
             state.inner_minimize()
             state.update_duals()
-            x_traj = Trajectory(grid, state.X)
-            vdef2, edef2 = pb.feasibility_residual(P, x_traj)
-            feas_new = vdef2 + edef2
+            objective, vdef, edef, stat = state.measure()
+            feas = vdef + edef
             # grow the penalty only while infeasibility is both above target
             # and not halving; growing past that wrecks inner conditioning
-            if feas_new > cfg.feas_tol and feas_new > 0.5 * prev_feas:
+            if feas > cfg.feas_tol and feas > 0.5 * prev_feas:
                 state.rho *= cfg.penalty_growth
-            prev_feas = feas_new
+            prev_feas = feas
     except pb.ex.ExprDomainError as err:
         raise SolverError(
-            f"expression domain error at the current iterate: {err}",
-            snapshot=state.X.copy(),
+            f"expression domain error: {err}", snapshot=state.point.copy()
         ) from err
-    x_final = Trajectory(grid, state.X)
-    vdef, edef = pb.feasibility_residual(P, x_final)
-    return state, history, converged, vdef, edef
+    return state, history, converged, (objective, vdef, edef, stat)
 
 
 def solve(
@@ -407,7 +333,9 @@ def solve(
 ) -> SolveResult:
     """Solve the discretized problem; returns the primal trajectory, the
     multiplier density for the velocity constraint, and the endpoint
-    multipliers.
+    multipliers.  The objective, defects and stationarity are those
+    measured on the final iterate, so a converged result's objective is
+    its last history row's.
 
     With nonconvex data the result is a first-order point; the necessary
     conditions certified downstream do not distinguish local optimality.
@@ -419,18 +347,20 @@ def solve(
         X0 = warm_start.values.copy()
     else:
         X0 = _default_init(P, grid)
-    objective = _CostObjective(P, grid)
-    state, history, converged, vdef, edef = _run_alm(P, cfg, grid, objective, X0)
-    x = Trajectory(grid, state.X)
+    state, history, converged, (objective, vdef, edef, stat) = _run_alm(
+        P, cfg, grid,
+        lambda X: pb.cost(P, grid, X), lambda X: pb.cost_gradient(P, grid, X),
+        X0,
+    )
     n = P.n
     return SolveResult(
-        x=x,
+        x=Trajectory(grid, state.X),
         mu=CellPath(grid, state.mu),
         s1=state.s[:n].copy(),
         s2=state.s[n:].copy(),
         converged=converged,
-        objective=pb.evaluate_cost(P, x),
-        stationarity=state.stationarity(state.X),
+        objective=objective,
+        stationarity=stat,
         velocity_defect=vdef,
         endpoint_defect=edef,
         history=history,
@@ -450,7 +380,7 @@ def restore_feasibility(
     """
     pb._check_grid(P, x)
     grid = x.grid
-    objective = _RestoreObjective(x)
-    state, _, converged, _, _ = _run_alm(P, cfg, grid, objective, x.values.copy())
+    value, grad = _restore_objective(x)
+    state, _, converged, _ = _run_alm(P, cfg, grid, value, grad, x.values.copy())
     y = Trajectory(grid, state.X)
     return RestoreResult(y=y, ac_gap=ac_norm(y - x), converged=converged)

@@ -68,10 +68,8 @@ def test_solve_unknown_field_rejected(workdir):
 
 def test_solve_deterministic_outputs(workdir):
     _write_case(workdir / "p2.json", "p2")
-    assert main(["solve", "p2.json", "--grid", "120", "--seed", "7",
-                 "--prefix", "a"]) == 0
-    assert main(["solve", "p2.json", "--grid", "120", "--seed", "7",
-                 "--prefix", "b"]) == 0
+    assert main(["solve", "p2.json", "--grid", "120", "--prefix", "a"]) == 0
+    assert main(["solve", "p2.json", "--grid", "120", "--prefix", "b"]) == 0
     for suffix in ("trajectory.json", "multipliers.json", "history.csv"):
         with open(f"a.{suffix}", "rb") as fa, open(f"b.{suffix}", "rb") as fb:
             assert fa.read() == fb.read()

@@ -241,6 +241,16 @@ def test_constraint_derivative_first_order_accurate():
         h = grid.h
         defect = float(h * np.linalg.norm(dv, axis=1).sum() + np.linalg.norm(de))
         assert defect <= 1e-4 * (1.0 + pb.reduced_image_norm(lin))
+        # the adjoint is the transpose of the linearization:
+        # <adjoint(MU, S), U> = h sum_k <MU_k, (Du)_k> + <S, (u_0, u_N)>
+        MU = rng.standard_normal((grid.N, n))
+        S = rng.standard_normal(2 * n)
+        adj = pb.constraint_adjoint(P, grid, x.values, MU, S)
+        lhs = float(np.einsum("ki,ki->", adj, u.values))
+        rhs = h * float(np.einsum("ki,ki->", MU, lin.velocity_part.values)) + float(
+            S @ lin.endpoints
+        )
+        assert abs(lhs - rhs) <= 1e-12 * (1.0 + float(np.abs(adj * u.values).sum()))
         checked += 1
 
 

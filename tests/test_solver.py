@@ -69,6 +69,11 @@ def test_objective_never_beats_feasible_comparison_by_much():
         comparison = case.x_star(r.x.grid)
         J_cmp = pb.evaluate_cost(case.problem, comparison)
         assert r.objective <= J_cmp + 1e-2 * (1.0 + abs(case.J_star))
+        # the reported objective is the cost of the returned trajectory and,
+        # on convergence, the last history row's
+        assert r.objective == pb.evaluate_cost(case.problem, r.x)
+        if r.converged:
+            assert r.objective == r.history[-1]["objective"]
 
 
 def test_dual_feasibility_at_convergence():
@@ -93,7 +98,7 @@ def test_dual_feasibility_at_convergence():
 
 def test_determinism_bitwise():
     case = get_case("p2")
-    cfg = sv.SolverConfig(grid_N=120, seed=7)
+    cfg = sv.SolverConfig(grid_N=120)
     r1 = sv.solve(case.problem, cfg)
     r2 = sv.solve(case.problem, cfg)
     assert r1.history == r2.history
@@ -204,6 +209,22 @@ def test_domain_error_carries_snapshot():
     with pytest.raises(sv.SolverError) as err:
         sv.solve(P, sv.SolverConfig(grid_N=10, outer_iters=3))
     assert err.value.snapshot is not None
+    # from x = 1 the first line-search trial overshoots into x <= 0: the
+    # snapshot is that failing trial, not the last accepted iterate
+    P = pb.ProblemSpec(
+        n=1,
+        T=1.0,
+        phi=ex.parse("0", 1, ex.PROFILE_TERMINAL),
+        theta=ex.parse("log(x1) + (v1 + 5)^2/2", 1, ex.PROFILE_RUNNING),
+        g=[ex.parse("0", 1, ex.PROFILE_DRIFT)],
+        omega1=Reals(1),
+        omega2=Reals(2),
+    )
+    warm = Trajectory(Grid(1.0, 10), np.ones((11, 1)))
+    with pytest.raises(sv.SolverError) as err:
+        sv.solve(P, sv.SolverConfig(grid_N=10), warm_start=warm)
+    assert err.value.snapshot.shape == (11, 1)
+    assert err.value.snapshot.min() <= 0.0
 
 
 def test_nonconvergence_reported_not_raised():
@@ -214,6 +235,7 @@ def test_nonconvergence_reported_not_raised():
     )
     assert not r.converged
     assert len(r.history) == 2
+    assert r.objective == pb.evaluate_cost(case.problem, r.x)
 
 
 def test_restore_nonconvergence_flags_bound_unverified():
