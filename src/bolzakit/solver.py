@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import problem as pb
-from .convex import project, project_normal_cone
+from .convex import ConvexSetError, project, project_normal_cone
 from .funspace import CellPath, Grid, Trajectory, ac_norm
 
 
@@ -289,8 +289,8 @@ def _run_alm(P: pb.ProblemSpec, cfg: SolverConfig, grid: Grid, value, grad,
     Each iterate is measured once.  Returns the final state, the history
     rows, whether the run converged, and the final iterate's measurement
     (objective, velocity defect, endpoint defect, stationarity).  An
-    expression domain error becomes a SolverError whose snapshot is the
-    node array whose evaluation failed.
+    expression domain error or a failed projection becomes a SolverError
+    whose snapshot is the node array whose evaluation failed.
     """
     state = _AlmState(P, cfg, grid, value, grad, X0)
     history = []
@@ -324,6 +324,10 @@ def _run_alm(P: pb.ProblemSpec, cfg: SolverConfig, grid: Grid, value, grad,
     except pb.ex.ExprDomainError as err:
         raise SolverError(
             f"expression domain error: {err}", snapshot=state.point.copy()
+        ) from err
+    except ConvexSetError as err:
+        raise SolverError(
+            f"projection failed: {err}", snapshot=state.point.copy()
         ) from err
     return state, history, converged, (objective, vdef, edef, stat)
 

@@ -82,6 +82,37 @@ def test_solve_nonconvergence_exits_three(workdir):
     assert code == 3
 
 
+def test_solve_projection_failure_exits_three(workdir, monkeypatch, capsys):
+    from bolzakit import convex as cx
+
+    wedge = {"type": "polyhedron", "A": [[-0.1, 1.0], [-0.1, -1.0]], "b": [0.0, 0.0]}
+    problem = {
+        "version": 1, "n": 2, "T": 1.0, "terminal_cost": "0",
+        "running_cost": "((v1+1)^2+v2^2)/2", "drift": ["0", "0"],
+        "omega1": wedge,
+        "omega2": {"type": "product", "factors": [
+            {"type": "singleton", "point": [0.0, 0.0]},
+            {"type": "reals", "dim": 2},
+        ]},
+    }
+    (workdir / "wedge.json").write_text(json.dumps(problem), encoding="utf-8")
+    snapshots = []
+    real = cx._project_polyhedron
+
+    def failing(S, Y, **kwargs):
+        if kwargs.get("prove_empty"):  # let the load-time check pass
+            return real(S, Y, **kwargs)
+        snapshots.append(Y.shape)
+        raise cx.ProjectionError("forced failure", 1.0)
+
+    monkeypatch.setattr(cx, "_project_polyhedron", failing)
+    assert main(["solve", "wedge.json", "--grid", "20"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: solver failed: projection failed: forced failure")
+    assert snapshots == [(20, 2)]
+    assert not os.path.exists("wedge.trajectory.json")
+
+
 # ---------------------------------------------------------------------------
 # verify
 

@@ -49,7 +49,7 @@ def test_project_batch_rows():
     assert np.allclose(out, [[0.0], [0.25], [1.0]])
 
 
-def test_dykstra_matches_oracle_on_random_small_polyhedra():
+def test_projection_matches_oracle_on_random_small_polyhedra():
     rng = np.random.default_rng(5)
     trials = 0
     while trials < 60:
@@ -63,18 +63,105 @@ def test_dykstra_matches_oracle_on_random_small_polyhedra():
         y = 3.0 * rng.standard_normal(2)
         got = cx.project(S, y)
         want = project_polyhedron_active_set(A, b, y)
-        assert np.linalg.norm(got - want) <= 1e-8
+        assert np.linalg.norm(got - want) <= 1e-12
         trials += 1
+
+
+def _wedge(half: float, apex=(1.0, 0.0)):
+    """Cone of half-angle ``half`` around the x-axis with the given apex,
+    and its closed-form projection."""
+    s, c = math.sin(half), math.cos(half)
+    A = np.array([[-s, c], [-s, -c]])
+    apex = np.asarray(apex, dtype=float)
+
+    def closed_form(y):
+        d = y - apex
+        angle = math.atan2(d[1], d[0])
+        if abs(angle) <= half:
+            return y.copy()
+        if abs(angle) >= half + math.pi / 2:
+            return apex.copy()
+        u = np.array([c, math.copysign(s, angle)])
+        return apex + max(0.0, float(d @ u)) * u
+
+    return A, A @ apex, closed_form
+
+
+def test_narrow_wedges_load_as_nonempty():
+    for half in (0.01, 1e-3):
+        A, b, _ = _wedge(half)
+        S = cx.Polyhedron(A, b)
+        assert cx.project(S, [0.0, 0.0]) == pytest.approx([1.0, 0.0], abs=1e-12)
 
 
 def test_empty_polyhedron_detected_at_load():
     with pytest.raises(cx.EmptySetError):
         cx.Polyhedron([[1.0], [-1.0]], [-1.0, -2.0])  # y <= -1 and y >= 2
+    with pytest.raises(cx.EmptySetError):  # y >= 0 and y1 + y2 <= -1
+        cx.Polyhedron([[-1.0, 0.0], [0.0, -1.0], [1.0, 1.0]], [0.0, 0.0, -1.0])
 
 
 def test_zero_row_infeasible_detected():
     with pytest.raises(cx.EmptySetError):
         cx.Polyhedron([[0.0, 0.0]], [-1.0])
+
+
+def test_narrow_wedge_projection_exact_and_angle_independent(monkeypatch):
+    steps = [0]
+    groups = cx._groups
+
+    def counting(codes, live):
+        steps[-1] += 1
+        return groups(codes, live)
+
+    monkeypatch.setattr(cx, "_groups", counting)
+    rng = np.random.default_rng(3)
+    offsets = np.vstack([
+        1e-3 * rng.standard_normal((100, 2)),
+        0.5 * rng.standard_normal((100, 2)),
+        [[-0.5, 0.0], [0.1, 1e-5], [0.1, -1e-5]],
+    ])
+    counts = {}
+    for half in (0.3, 0.05, 0.01, 1e-3):
+        A, b, closed_form = _wedge(half)
+        S = cx.Polyhedron(A, b)
+        Y = np.array([1.0, 0.0]) + offsets
+        steps.append(0)
+        P = cx.project(S, Y)
+        counts[half] = steps[-1]
+        for y, p in zip(Y, P):
+            assert np.linalg.norm(p - closed_form(y)) <= 1e-12
+    # two batched steps reach the apex at every angle
+    assert set(counts.values()) == {2}, counts
+
+
+def _kkt_defect(A, b, y, p):
+    """Largest KKT defect of p as the projection of y onto {Ay <= b},
+    with multipliers fitted on the facets p lies on."""
+    slack = A @ p - b
+    scale = 1.0 + np.linalg.norm(y) + np.abs(b).max()
+    active = np.abs(slack) <= 1e-9 * scale
+    nu, *_ = np.linalg.lstsq(A[active].T, y - p, rcond=None)
+    return max(
+        float(slack.max(initial=0.0)),
+        float((-nu).max(initial=0.0)),
+        float(np.linalg.norm(y - p - A[active].T @ nu)),
+    ) / scale
+
+
+def test_projection_kkt_on_32_facet_polytope():
+    rng = np.random.default_rng(8)
+    A = rng.standard_normal((32, 6))
+    A /= np.linalg.norm(A, axis=1)[:, None]
+    b = A @ (0.1 * rng.standard_normal(6)) + rng.uniform(0.5, 1.5, 32)
+    S = cx.Polyhedron(A, b)
+    Y = 3.0 * rng.standard_normal((200, 6))
+    P = cx.project(S, Y)
+    active_counts = set()
+    for y, p in zip(Y, P):
+        assert _kkt_defect(A, b, y, p) <= 1e-12
+        active_counts.add(int((np.abs(A @ p - b) <= 1e-9).sum()))
+    assert max(active_counts) >= 3  # vertices and edges, not only facets
 
 
 # ---------------------------------------------------------------------------
@@ -284,12 +371,10 @@ def test_tangent_cone_ball_boundary():
     assert cx.distance(T, [1.0, 0.0]) == pytest.approx(1.0)
 
 
-def test_dykstra_cycle_cap_error_carries_residual():
-    A = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]])
-    b = np.array([1.0, 1.0, 0.0])
-    with pytest.raises(cx.DykstraError) as err:
-        cx._dykstra_halfspaces(A, b, np.array([[5.0, 7.0]]), tol=1e-14,
-                               max_cycles=1)
+def test_projection_step_cap_error_carries_residual():
+    S = cx.Polyhedron([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]], [1.0, 1.0, 0.0])
+    with pytest.raises(cx.ProjectionError) as err:
+        cx._project_polyhedron(S, np.array([[5.0, 7.0]]), max_iter=1)
     assert err.value.residual > 0
 
 
@@ -301,3 +386,20 @@ def test_neg_normal_sum_distance_boxes():
     assert cx.neg_normal_sum_distance(S, [0.0], S, [0.0], [-2.0]) == pytest.approx(2.0)
     # at interior points both cones are {0}
     assert cx.neg_normal_sum_distance(S, [0.5], S, [0.5], [1.5]) == pytest.approx(1.5)
+
+
+def test_neg_normal_sum_distance_polyhedral_cones():
+    # at the wedge's apex the tangent cone is the wedge itself; with the
+    # whole space second, the distance is |projection of -v onto it|
+    half = 0.05
+    A, b, closed_form = _wedge(half, apex=(0.0, 0.0))
+    S = cx.Polyhedron(A, b)
+    for v in ([-1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [-1.0, 0.2]):
+        v = np.asarray(v)
+        want = np.linalg.norm(closed_form(-v))
+        got = cx.neg_normal_sum_distance(S, [0.0, 0.0], cx.Reals(2), [0.0, 0.0], v)
+        assert got == pytest.approx(want, abs=1e-12)
+    # a singleton-by-box product: T = {0} x [0, inf) at the lower face
+    P2 = cx.Product([cx.Singleton([1.0]), cx.Box([0.0], [1.0])])
+    d = cx.neg_normal_sum_distance(P2, [1.0, 0.0], cx.Reals(2), [0.0, 0.0], [3.0, -2.0])
+    assert d == pytest.approx(2.0, abs=1e-12)

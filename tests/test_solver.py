@@ -227,6 +227,30 @@ def test_domain_error_carries_snapshot():
     assert err.value.snapshot.min() <= 0.0
 
 
+def test_projection_error_carries_snapshot(monkeypatch):
+    from bolzakit import convex as cx
+
+    P = pb.ProblemSpec(
+        n=1,
+        T=1.0,
+        phi=ex.parse("0", 1, ex.PROFILE_TERMINAL),
+        theta=ex.parse("(v1 - 2)^2/2", 1, ex.PROFILE_RUNNING),
+        g=[ex.parse("0", 1, ex.PROFILE_DRIFT)],
+        omega1=cx.Polyhedron([[1.0]], [1.0]),
+        omega2=Reals(2),
+    )
+
+    def failing(S, Y):
+        raise cx.ProjectionError("forced failure", 1.0)
+
+    monkeypatch.setattr(cx, "_project_polyhedron", failing)
+    warm = _line(Grid(1.0, 10), slope=0.5)
+    with pytest.raises(sv.SolverError, match="projection failed") as err:
+        sv.solve(P, sv.SolverConfig(grid_N=10), warm_start=warm)
+    assert isinstance(err.value.__cause__, cx.ProjectionError)
+    assert np.array_equal(err.value.snapshot, warm.values)
+
+
 def test_nonconvergence_reported_not_raised():
     case = get_case("p2")
     r = sv.solve(
