@@ -34,7 +34,7 @@ from . import problem as pb
 from .convex import ConvexSetError
 from .expr import ExprError
 from .funspace import CellPath, Trajectory, ac_norm, one_one_norm, sup_norm
-from .optimality import Tolerances, certify, reconstruct_adjoint
+from .optimality import Tolerances, certify, endpoint_multipliers, stationarity
 from .solver import SolverConfig, SolverError, solve
 
 EXIT_OK = 0
@@ -208,15 +208,12 @@ def _cmd_verify(args) -> int:
             mu = CellPath(grid, np.zeros((grid.N, P.n)))
         s1 = _parse_vector(args.s1, P.n, "--s1")
         s2 = _parse_vector(args.s2, P.n, "--s2")
-        if s1 is None or s2 is None:
-            # default endpoint multipliers consistent with the adjoint
-            p = reconstruct_adjoint(P, x, mu)
-            gx0, gxT = P.phi_gradients(x.values[0], x.values[-1])
-            if s1 is None:
-                s1 = p.values[0] - gx0
-            if s2 is None:
-                s2 = -p.values[-1] - gxT
     try:
+        if s1 is None or s2 is None:
+            # default: the endpoint multipliers the stationarity rows imply
+            xi = endpoint_multipliers(stationarity(P, x, mu))
+            s1 = xi[: P.n] if s1 is None else s1
+            s2 = xi[P.n :] if s2 is None else s2
         report = certify(
             P, x, mu, s1, s2,
             kappa=args.kappa,
@@ -270,26 +267,29 @@ def _cmd_check_derivatives(args) -> int:
     eps = args.eps
     worst_rel = 0.0
     worst_lin = 0.0
-    for _ in range(args.directions):
-        u = Trajectory(grid, rng.standard_normal((grid.N + 1, P.n)))
-        sym = pb.gateaux_J(P, x, u)
-        plus = pb.evaluate_cost(P, x + eps * u)
-        minus = pb.evaluate_cost(P, x - eps * u)
-        fd = (plus - minus) / (2 * eps)
-        worst_rel = max(worst_rel, abs(sym - fd) / (1.0 + abs(sym)))
-        base = pb.apply_constraint(P, x)
-        lin = pb.apply_constraint_derivative(P, x, u)
-        shifted = pb.apply_constraint(P, x + eps * u)
-        dv = (
-            shifted.velocity_part.values
-            - base.velocity_part.values
-            - eps * lin.velocity_part.values
-        )
-        de = shifted.endpoints - base.endpoints - eps * lin.endpoints
-        defect = pb.reduced_image_norm(
-            pb.ReducedImage(CellPath(grid, dv), de)
-        )
-        worst_lin = max(worst_lin, defect / eps)
+    try:
+        for _ in range(args.directions):
+            u = Trajectory(grid, rng.standard_normal((grid.N + 1, P.n)))
+            sym = pb.gateaux_J(P, x, u)
+            plus = pb.evaluate_cost(P, x + eps * u)
+            minus = pb.evaluate_cost(P, x - eps * u)
+            fd = (plus - minus) / (2 * eps)
+            worst_rel = max(worst_rel, abs(sym - fd) / (1.0 + abs(sym)))
+            base = pb.apply_constraint(P, x)
+            lin = pb.apply_constraint_derivative(P, x, u)
+            shifted = pb.apply_constraint(P, x + eps * u)
+            dv = (
+                shifted.velocity_part.values
+                - base.velocity_part.values
+                - eps * lin.velocity_part.values
+            )
+            de = shifted.endpoints - base.endpoints - eps * lin.endpoints
+            defect = pb.reduced_image_norm(
+                pb.ReducedImage(CellPath(grid, dv), de)
+            )
+            worst_lin = max(worst_lin, defect / eps)
+    except (ExprError, ConvexSetError) as err:
+        raise _CliError(f"derivative check failed to run: {err}") from err
     payload = {
         "directions": args.directions,
         "eps": eps,

@@ -1,20 +1,32 @@
 """Certification of first-order optimality for a candidate solution.
 
-Given a trajectory x, a velocity-constraint multiplier density mu, and
-endpoint multipliers (s1, s2), this module reconstructs the adjoint arc
-and measures the defects of the classical necessary conditions:
+A candidate is a trajectory x on a grid of step h, a velocity-constraint
+multiplier density mu (cell values) and endpoint multipliers (s1, s2).
+The certificate checks the first-order (KKT) system of the direct
+transcription in problem.py and reads it off one array, the node
+gradient of its Lagrangian with zero endpoint multipliers,
 
-  EL  adjoint (Euler-Lagrange) equation
-          p' - g_x(t,x)^T p = theta_x - g_x(t,x)^T theta_v      (a.e.)
-  WP  maximization (Weierstrass-Pontryagin) condition
-          <p - theta_v, x' + g(t,x)> = max_{w in Omega1} <p - theta_v, w>
-  TR  transversality inclusion
-          (p(0), -p(T)) in grad phi + N_{Omega2}(x(0), x(T))
-  NC  pointwise normal-cone membership mu(t) in N_{Omega1}(x'+g)
+    L = cost_gradient(x) + constraint_adjoint(x, mu, 0),
+
+which the solver drives to zero.  With d_k = theta_v,k + mu_k the
+adjoint arc is the staggered p_{k+1} = d_k, p_0 = grad_{x0} phi - L_0.
+
+  EL  adjoint (Euler-Lagrange) equation, discrete:
+          d_k - d_{k-1} = h (theta_x + g_x^T mu)_k,   k = 1..N-1,
+      whose defect is row k of L; the residual is sum_k |L_k|
+  WP  maximization (Weierstrass-Pontryagin) condition on each cell; its
+      direction p_{k+1} - theta_v,k is mu_k:
+          <mu_k, w_k> = max_{w in Omega1} <mu_k, w>,  w_k = v_k + g(t_k, x_k)
+  TR  transversality inclusion of the endpoint multipliers the adjoint
+      implies, xi = -(L_0, L_N) = (p_0, -p_N) - grad phi:
+          xi in N_{Omega2}(x(0), x(T))
+  NC  pointwise normal-cone membership mu_k in N_{Omega1}(w_k)
+  EC  endpoint consistency |xi - (s1, s2)| (informational)
   BOUND  the multiplier-norm estimate ||lambda|| <= kappa * ell
 
-All residuals are nonnegative; verdicts are pure functions of the
-residuals and the supplied tolerances.
+WP and NC use the velocity part projected onto Omega1.  All residuals
+are nonnegative; verdicts are pure functions of the residuals and the
+supplied tolerances.
 """
 
 from __future__ import annotations
@@ -36,14 +48,15 @@ from .convex import (
 )
 from .funspace import CellPath, Trajectory
 
-AdjointArc = Trajectory
+# the default EL tolerance is EL_BASE * (1 + running-cost gradient scale)
+EL_BASE = 1e-3
 
 
 @dataclass(frozen=True)
 class Tolerances:
     """Pass tolerances for the certificate verdicts.
 
-    ``el`` defaults to el_base * (1 + running-cost gradient scale) when
+    ``el`` defaults to EL_BASE * (1 + running-cost gradient scale) when
     left unset.  ``support_zero`` is the threshold below which a
     maximization direction counts as zero when testing unbounded sets;
     it absorbs solver-grade noise and must stay well under wp_gap.
@@ -51,7 +64,6 @@ class Tolerances:
 
     feasibility: float = 1e-6
     el: float | None = None
-    el_base: float = 1e-3
     wp_gap: float = 1e-4
     transversality: float = 1e-5
     mu_membership: float = 1e-5
@@ -83,15 +95,6 @@ class CertificateReport:
     verdicts: dict
     passed: bool
     notes: list = field(default_factory=list)
-
-    _ORDER = (
-        ("FEAS", "feasibility (velocity, endpoint defects)"),
-        ("EL", "adjoint equation residual (L1)"),
-        ("WP", "maximization gap (max over cells)"),
-        ("TR", "transversality residual"),
-        ("NC", "multiplier membership residual (max)"),
-        ("BOUND", "multiplier norm bound"),
-    )
 
     def to_dict(self) -> dict:
         return {
@@ -177,72 +180,59 @@ class CertificateReport:
         return "\n".join(lines)
 
 
-def reconstruct_adjoint(P: pb.ProblemSpec, x: Trajectory, mu: CellPath) -> AdjointArc:
-    """Discrete absolutely-continuous representative of
-    t -> theta_v(t, x, x') + mu(t).
-
-    Cell values are averaged onto nodes with endpoint preservation
-    (p_0 = d_0, p_N = d_{N-1}, interior p_k = (d_{k-1} + d_k) / 2).
-    """
+def stationarity(P: pb.ProblemSpec, x: Trajectory, mu: CellPath) -> np.ndarray:
+    """L, the node gradient of the transcription's Lagrangian at (x, mu)
+    with zero endpoint multipliers, shape (N+1, n)."""
     pb._check_grid(P, x)
     if not mu.grid.compatible(x.grid) or mu.n != x.n:
         raise pb.ProblemError("mu must live on the trajectory's grid")
+    grid, X = x.grid, x.values
+    return pb.cost_gradient(P, grid, X) + pb.constraint_adjoint(
+        P, grid, X, mu.values, np.zeros(2 * P.n)
+    )
+
+
+def endpoint_multipliers(L: np.ndarray) -> np.ndarray:
+    """xi = -(L_0, L_N): the endpoint multipliers that close the first and
+    last stationarity rows."""
+    return -np.concatenate([L[0], L[-1]])
+
+
+def reconstruct_adjoint(P: pb.ProblemSpec, x: Trajectory, mu: CellPath) -> Trajectory:
+    """The transcription's adjoint arc: p_{k+1} = d_k = theta_v,k + mu_k
+    and p_0 = grad_{x0} phi - L_0, so that p_{k+1} - p_k =
+    h (theta_x + g_x^T mu)_k - L_k for k = 1..N-1 and (p_0, -p_N) - grad phi
+    is endpoint_multipliers(L).  For reporting; certify reads L."""
+    L = stationarity(P, x, mu)
     grid = x.grid
     _, theta_v = P.theta_grad_cells(grid.cell_lefts(), x.values[:-1], x.velocities())
-    d = theta_v + mu.values
+    gx0, _ = P.phi_gradients(x.values[0], x.values[-1])
     p = np.empty((grid.N + 1, P.n))
-    p[0] = d[0]
-    p[-1] = d[-1]
-    if grid.N > 1:
-        p[1:-1] = 0.5 * (d[:-1] + d[1:])
+    p[0] = gx0 - L[0]
+    p[1:] = theta_v + mu.values
     return Trajectory(grid, p)
 
 
-def el_residual(P: pb.ProblemSpec, x: Trajectory, p: AdjointArc) -> float:
-    """L1 norm of the adjoint-equation defect
-
-        p' - g_x^T p_bar - theta_x + g_x^T theta_v
-
-    with p_bar the cell average of p."""
-    pb._check_grid(P, x)
-    if not p.grid.compatible(x.grid) or p.n != x.n:
-        raise pb.ProblemError("adjoint arc must live on the trajectory's grid")
-    grid = x.grid
-    t = grid.cell_lefts()
-    X, V = x.values[:-1], x.velocities()
-    theta_x, theta_v = P.theta_grad_cells(t, X, V)
-    G = P.g_jacobian_cells(t, X)
-    pdot = p.velocities()
-    pbar = p.midpoint_values()
-    r = (
-        pdot
-        - np.einsum("kij,ki->kj", G, pbar)
-        - theta_x
-        + np.einsum("kij,ki->kj", G, theta_v)
-    )
-    return float(grid.h * np.linalg.norm(r, axis=1).sum())
+def el_residual(L: np.ndarray) -> float:
+    """L1 norm of the discrete adjoint-equation defect: the interior
+    stationarity rows sum_{k=1}^{N-1} |L_k|."""
+    return float(np.linalg.norm(L[1:-1], axis=1).sum())
 
 
 def weierstrass_gap(
     P: pb.ProblemSpec,
-    x: Trajectory,
-    p: AdjointArc,
+    W: np.ndarray,
+    mu: np.ndarray,
+    h: float,
     support_zero_tol: float = 1e-6,
 ) -> tuple[float, float, list[float]]:
-    """Per-cell maximization gaps sup_{w in Omega1} <c, w> - <c, w_k>
-    with c = p_bar - theta_v and w_k the (feasibility-projected) velocity
-    part.  Returns (max gap, h-weighted L1 gap, per-cell gaps); a cell
-    with unbounded support reports an infinite gap.
+    """Per-cell maximization gaps sup_{w in Omega1} <mu_k, w> - <mu_k, W_k>
+    for the (feasibility-projected) velocity part W.  Returns (max gap,
+    h-weighted L1 gap, per-cell gaps); a cell with unbounded support
+    reports an infinite gap.
     """
-    pb._check_grid(P, x)
-    grid = x.grid
-    _, theta_v = P.theta_grad_cells(grid.cell_lefts(), x.values[:-1], x.velocities())
-    W, _ = pb.constraint_image(P, grid, x.values)
-    W_feas = project(P.omega1, W)
-    C = p.midpoint_values() - theta_v
     gaps: list[float] = []
-    for k in range(grid.N):
-        c = C[k]
+    for c, w in zip(mu, W):
         if np.linalg.norm(c) <= support_zero_tol:
             gaps.append(0.0)
             continue
@@ -250,35 +240,28 @@ def weierstrass_gap(
         if math.isinf(sigma):
             gaps.append(math.inf)
             continue
-        gaps.append(float(sigma - c @ W_feas[k]))
+        gaps.append(float(sigma - c @ w))
     arr = np.array(gaps)
     finite = arr[np.isfinite(arr)]
-    gap_l1 = float(grid.h * finite.sum()) if finite.size else 0.0
+    gap_l1 = float(h * finite.sum()) if finite.size else 0.0
     if np.any(np.isinf(arr)):
         return math.inf, math.inf, gaps
     return float(arr.max()) if gaps else 0.0, gap_l1, gaps
 
 
-def transversality_residual(P: pb.ProblemSpec, x: Trajectory, p: AdjointArc,
+def transversality_residual(P: pb.ProblemSpec, E: np.ndarray, L: np.ndarray,
                             feas_tol: float = 1e-6) -> float:
-    """Membership defect of (p(0), -p(T)) - grad phi in the normal cone
-    to the endpoint set at (x(0), x(T))."""
-    pb._check_grid(P, x)
-    gx0, gxT = P.phi_gradients(x.values[0], x.values[-1])
-    xi = np.concatenate([p.values[0] - gx0, -p.values[-1] - gxT])
-    endpoints = np.concatenate([x.values[0], x.values[-1]])
-    return float(normal_cone_residual(P.omega2, endpoints, xi, feas_tol=feas_tol))
+    """Membership defect of endpoint_multipliers(L) in the normal cone to
+    the endpoint set at the endpoint pair E = (x(0), x(T))."""
+    return float(
+        normal_cone_residual(P.omega2, E, endpoint_multipliers(L), feas_tol=feas_tol)
+    )
 
 
-def mu_membership(P: pb.ProblemSpec, x: Trajectory, mu: CellPath) -> float:
+def mu_membership(P: pb.ProblemSpec, W: np.ndarray, mu: np.ndarray) -> float:
     """Max over cells of the normal-cone membership defect of mu_k at the
-    feasibility-projected velocity part."""
-    pb._check_grid(P, x)
-    if not mu.grid.compatible(x.grid) or mu.n != x.n:
-        raise pb.ProblemError("mu must live on the trajectory's grid")
-    W, _ = pb.constraint_image(P, x.grid, x.values)
-    W_feas = project(P.omega1, W)
-    res = normal_cone_residual(P.omega1, W_feas, mu.values, feas_tol=1e-6)
+    feasibility-projected velocity part W_k."""
+    res = normal_cone_residual(P.omega1, W, mu, feas_tol=1e-6)
     return float(np.asarray(res).max())
 
 
@@ -309,16 +292,19 @@ def _endpoint_factors(omega2) -> tuple | None:
     return None
 
 
-def integrated_endpoint_residual(P: pb.ProblemSpec, x: Trajectory) -> float | None:
+def integrated_endpoint_residual(
+    P: pb.ProblemSpec, E: np.ndarray, L: np.ndarray
+) -> float | None:
     """For reduced problems (zero drift, unconstrained velocity, endpoint
     set splitting per endpoint): the defect of
 
-        int theta_x(t, x) dt + grad_{x0} phi + grad_{xT} phi
+        h sum_k theta_x(t_k, x_k, v_k) + grad_{x0} phi + grad_{xT} phi
             in  -N(x(0)) - N(x(T)),
 
-    the condition obtained by integrating the adjoint equation into the
-    transversality inclusion.  Returns None when the structure does not
-    apply.
+    the condition obtained by summing the adjoint equation into the
+    transversality inclusion.  With zero drift the d terms of the
+    stationarity rows telescope, so the left side is sum_k L_k.  Returns
+    None when the structure does not apply.
     """
     if not isinstance(P.omega1, Reals):
         return None
@@ -328,15 +314,9 @@ def integrated_endpoint_residual(P: pb.ProblemSpec, x: Trajectory) -> float | No
     if factors is None:
         return None
     set0, setT = factors
-    grid = x.grid
-    theta_x, _ = P.theta_grad_cells(
-        grid.cell_lefts(), x.values[:-1], x.velocities()
-    )
-    gx0, gxT = P.phi_gradients(x.values[0], x.values[-1])
-    value = grid.h * theta_x.sum(axis=0) + gx0 + gxT
-    a0 = project(set0, x.values[0])
-    aT = project(setT, x.values[-1])
-    return neg_normal_sum_distance(set0, a0, setT, aT, value)
+    a0 = project(set0, E[: P.n])
+    aT = project(setT, E[P.n :])
+    return neg_normal_sum_distance(set0, a0, setT, aT, L.sum(axis=0))
 
 
 def certify(
@@ -370,19 +350,23 @@ def certify(
     vdef, edef = pb.feasibility_residual(P, x)
     feasible = (vdef + edef) <= tol.feasibility
 
-    p = reconstruct_adjoint(P, x, mu)
     grid = x.grid
-    t = grid.cell_lefts()
-    theta_x, theta_v = P.theta_grad_cells(t, x.values[:-1], x.velocities())
+    L = stationarity(P, x, mu)
+    xi = endpoint_multipliers(L)
+    W, E = pb.constraint_image(P, grid, x.values)
+    W = project(P.omega1, W)
+    theta_x, theta_v = P.theta_grad_cells(
+        grid.cell_lefts(), x.values[:-1], x.velocities()
+    )
     el_scale = 1.0 + float(
         np.linalg.norm(theta_x, axis=1).max(initial=0.0)
         + np.linalg.norm(theta_v, axis=1).max(initial=0.0)
     )
-    el_tol = tol.el if tol.el is not None else tol.el_base * el_scale
+    el_tol = tol.el if tol.el is not None else EL_BASE * el_scale
 
-    el = el_residual(P, x, p)
+    el = el_residual(L)
     wp_max, wp_l1, wp_cells = weierstrass_gap(
-        P, x, p, support_zero_tol=tol.support_zero
+        P, W, mu.values, grid.h, support_zero_tol=tol.support_zero
     )
     wp_inf_cell = None
     if math.isinf(wp_max):
@@ -392,8 +376,8 @@ def certify(
             "multiplier direction leaves the support of the velocity set"
         )
     if feasible:
-        tr = transversality_residual(P, x, p, feas_tol=tol.feasibility)
-        nc = mu_membership(P, x, mu)
+        tr = transversality_residual(P, E, L, feas_tol=tol.feasibility)
+        nc = mu_membership(P, W, mu.values)
     else:
         tr = math.inf
         nc = math.inf
@@ -402,10 +386,8 @@ def certify(
             "evaluated as failed"
         )
 
-    gx0, gxT = P.phi_gradients(x.values[0], x.values[-1])
     consistency = float(
-        np.linalg.norm(p.values[0] - s1 - gx0)
-        + np.linalg.norm(p.values[-1] + s2 + gxT)
+        np.linalg.norm(xi[: P.n] - s1) + np.linalg.norm(xi[P.n :] - s2)
     )
 
     mu_sup = float(np.linalg.norm(mu.values, axis=1).max(initial=0.0))
@@ -425,7 +407,7 @@ def certify(
         bound = kappa * ell_val
         bound_ok = lam <= bound
 
-    ie = integrated_endpoint_residual(P, x) if feasible else None
+    ie = integrated_endpoint_residual(P, E, L) if feasible else None
 
     verdicts = {
         "feasibility": "pass" if feasible else "fail",

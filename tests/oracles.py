@@ -20,16 +20,25 @@ def central_diff(f, x: float, step: float = 1e-6) -> float:
 
 
 def project_polyhedron_active_set(A: np.ndarray, b: np.ndarray, x: np.ndarray,
-                                  tol: float = 1e-9) -> np.ndarray:
+                                  tol: float | None = None) -> np.ndarray:
     """Projection onto {y : Ay <= b} by trying every candidate active set.
 
     The true projection solves an equality-constrained least-distance
     problem on some subset of rows, so the feasible candidate closest to
     x over all subsets is the projection.  Exponential, test-scale only.
+
+    A candidate counts as feasible when Ay <= b + tol; the default tol is
+    1e-13 * (1 + |x| + max|b|), relative because the rows are not
+    normalized (an absolute 1e-9 returned y = 1e-9 for {y <= 0}).  The
+    Gram-matrix solve squares the conditioning of the active rows: on a
+    wedge of half-angle 1e-3 rad its answer is off by 3.2e-12, so tests
+    at 1e-12 on such narrow sets use a closed form instead.
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     b = np.asarray(b, dtype=float).reshape(-1)
     x = np.asarray(x, dtype=float).reshape(-1)
+    if tol is None:
+        tol = 1e-13 * (1.0 + np.linalg.norm(x) + np.abs(b).max())
     m = A.shape[0]
     best = None
     best_dist = np.inf

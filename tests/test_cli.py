@@ -227,6 +227,23 @@ def test_check_derivatives_command(workdir, capsys):
     assert payload["cost_derivative_max_rel_err"] <= 1e-6
 
 
+def test_check_derivatives_domain_error_exits_two(workdir, capsys):
+    problem = {
+        "version": 1, "n": 1, "T": 1.0, "terminal_cost": "0",
+        "running_cost": "log(x1)+v1^2/2", "drift": ["0"],
+        "omega1": {"type": "reals", "dim": 1},
+        "omega2": {"type": "reals", "dim": 2},
+    }
+    (workdir / "log.json").write_text(json.dumps(problem), encoding="utf-8")
+    _write_line(workdir / "line.json", N=20, slope=0.0, offset=-1.0)  # x = -1
+    code = main(["check-derivatives", "log.json", "line.json"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: derivative check failed to run: ")
+    assert "log" in err
+    assert not os.path.exists("line.derivcheck.json")
+
+
 def test_norms_command_values_and_inequalities(workdir, capsys):
     _write_line(workdir / "line.json", N=80)
     code = main(["norms", "line.json"])

@@ -8,7 +8,7 @@ import bolzakit.problem as pb
 import bolzakit.solver as sv
 from bolzakit import expr as ex
 from bolzakit.catalog import get_case
-from bolzakit.convex import Box, Product, Reals, Singleton, normal_cone_residual
+from bolzakit.convex import Box, Product, Reals, Singleton, normal_cone_residual, project
 from bolzakit.funspace import CellPath, Grid, Trajectory
 
 
@@ -23,6 +23,20 @@ def _cells(grid, value):
 def _parabola(grid, coeff=1.0):
     t = grid.nodes()
     return Trajectory(grid, (coeff * t**2)[:, None])
+
+
+def _image(P, x):
+    """(W, E): the velocity part projected onto Omega1, and the endpoints."""
+    W, E = pb.constraint_image(P, x.grid, x.values)
+    return project(P.omega1, W), E
+
+
+def _mu_of_adjoint(P, x, p_values):
+    """The density whose staggered adjoint is p on nodes 1..N:
+    mu_k = p_{k+1} - theta_v,k."""
+    grid = x.grid
+    _, theta_v = P.theta_grad_cells(grid.cell_lefts(), x.values[:-1], x.velocities())
+    return CellPath(grid, np.broadcast_to(p_values, (grid.N + 1, P.n))[1:] - theta_v)
 
 
 # ---------------------------------------------------------------------------
@@ -61,8 +75,8 @@ def test_el_zero_on_analytic_pairs():
         case = get_case(cid)
         grid = Grid(1.0, 100)
         x = case.x_star(grid)
-        p = opt.reconstruct_adjoint(case.problem, x, _cells(grid, mu_val))
-        assert opt.el_residual(case.problem, x, p) <= 1e-11
+        L = opt.stationarity(case.problem, x, _cells(grid, mu_val))
+        assert opt.el_residual(L) <= 1e-11
 
 
 def test_el_detects_tilted_adjoint():
@@ -71,8 +85,12 @@ def test_el_detects_tilted_adjoint():
     for N in (50, 200):
         grid = Grid(1.0, N)
         x = _line(grid)
-        p = Trajectory(grid, (1.0 + delta * grid.nodes())[:, None])
-        res = opt.el_residual(case.problem, x, p)
+        p = (1.0 + delta * grid.nodes())[:, None]
+        mu = _mu_of_adjoint(case.problem, x, p)
+        assert np.allclose(
+            opt.reconstruct_adjoint(case.problem, x, mu).values[1:], p[1:]
+        )
+        res = opt.el_residual(opt.stationarity(case.problem, x, mu))
         assert abs(res - delta * 1.0) <= 5.0 / N + 1e-9
 
 
@@ -84,8 +102,10 @@ def test_wp_zero_on_capped_speed_analytic():
     case = get_case("p2")
     grid = Grid(1.0, 60)
     x = _line(grid)
-    p = opt.reconstruct_adjoint(case.problem, x, _cells(grid, 1.0))
-    gap_max, gap_l1, cells = opt.weierstrass_gap(case.problem, x, p)
+    W, _ = _image(case.problem, x)
+    gap_max, gap_l1, cells = opt.weierstrass_gap(
+        case.problem, W, _cells(grid, 1.0).values, grid.h
+    )
     assert gap_max <= 1e-10
     assert gap_l1 <= 1e-10
 
@@ -94,11 +114,13 @@ def test_wp_whole_space_gap_finite_iff_direction_zero():
     case = get_case("p1")
     grid = Grid(1.0, 30)
     x = _line(grid)
-    p_good = opt.reconstruct_adjoint(case.problem, x, _cells(grid, 0.0))
-    gap_max, _, _ = opt.weierstrass_gap(case.problem, x, p_good)
+    W, _ = _image(case.problem, x)
+    gap_max, _, _ = opt.weierstrass_gap(
+        case.problem, W, _cells(grid, 0.0).values, grid.h
+    )
     assert gap_max == 0.0
-    p_bad = Trajectory(grid, np.full((31, 1), 1.5))
-    gap_max, _, _ = opt.weierstrass_gap(case.problem, x, p_bad)
+    mu_bad = _mu_of_adjoint(case.problem, x, 1.5)  # p = 1.5: mu = 0.5
+    gap_max, _, _ = opt.weierstrass_gap(case.problem, W, mu_bad.values, grid.h)
     assert math.isinf(gap_max)
 
 
@@ -107,8 +129,8 @@ def test_wp_gap_cells_never_meaningfully_negative():
     for cid in ("p2", "p4"):
         case = get_case(cid)
         r = sv.solve(case.problem, sv.SolverConfig(grid_N=80))
-        p = opt.reconstruct_adjoint(case.problem, r.x, r.mu)
-        _, _, cells = opt.weierstrass_gap(case.problem, r.x, p)
+        W, _ = _image(case.problem, r.x)
+        _, _, cells = opt.weierstrass_gap(case.problem, W, r.mu.values, r.x.grid.h)
         assert min(cells) >= -1e-9
 
 
@@ -121,10 +143,12 @@ def test_wp_alone_does_not_discriminate_corrupted_adjoint():
     mu = _cells(grid, 1.5)  # makes the reconstructed p identically 0.5
     p = opt.reconstruct_adjoint(case.problem, x, mu)
     assert np.allclose(p.values, 0.5)
-    gap_max, _, _ = opt.weierstrass_gap(case.problem, x, p)
+    W, E = _image(case.problem, x)
+    L = opt.stationarity(case.problem, x, mu)
+    gap_max, _, _ = opt.weierstrass_gap(case.problem, W, mu.values, grid.h)
     assert gap_max <= 1e-10
-    assert opt.el_residual(case.problem, x, p) <= 1e-12
-    tr = opt.transversality_residual(case.problem, x, p)
+    assert opt.el_residual(L) <= 1e-12
+    tr = opt.transversality_residual(case.problem, E, L)
     assert tr == pytest.approx(0.5, abs=1e-9)
 
 
@@ -136,19 +160,26 @@ def test_transversality_trivial_at_singleton():
     case = get_case("p1")
     grid = Grid(1.0, 20)
     x = _line(grid)
-    p = Trajectory(grid, np.full((21, 1), 123.0))
-    assert opt.transversality_residual(case.problem, x, p) == 0.0
+    L = opt.stationarity(case.problem, x, _mu_of_adjoint(case.problem, x, 123.0))
+    assert opt.endpoint_multipliers(L) == pytest.approx([123.0, -123.0])
+    _, E = _image(case.problem, x)
+    assert opt.transversality_residual(case.problem, E, L) == 0.0
 
 
 def test_transversality_capped_speed_analytic_and_corrupted():
     case = get_case("p2")
     grid = Grid(1.0, 20)
     x = _line(grid)
-    p0 = Trajectory(grid, np.zeros((21, 1)))
-    assert opt.transversality_residual(case.problem, x, p0) == pytest.approx(0.0)
-    p1 = Trajectory(grid, np.ones((21, 1)))
+    _, E = _image(case.problem, x)
+
+    def tr(p):
+        mu = _mu_of_adjoint(case.problem, x, p)
+        L = opt.stationarity(case.problem, x, mu)
+        return opt.transversality_residual(case.problem, E, L)
+
+    assert tr(0.0) == pytest.approx(0.0)
     # (p(0), -p(T)) = (1, -1): the free-endpoint component must vanish
-    assert opt.transversality_residual(case.problem, x, p1) == pytest.approx(1.0)
+    assert tr(1.0) == pytest.approx(1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -159,16 +190,19 @@ def test_mu_membership_zero_multiplier():
     case = get_case("p3")
     grid = Grid(1.0, 25)
     x = Trajectory(grid, np.zeros((26, 1)))
-    assert opt.mu_membership(case.problem, x, _cells(grid, 0.0)) == 0.0
+    W, _ = _image(case.problem, x)
+    assert opt.mu_membership(case.problem, W, _cells(grid, 0.0).values) == 0.0
 
 
 def test_mu_membership_capped_speed():
     case = get_case("p2")
     grid = Grid(1.0, 25)
     x = _line(grid)
-    assert opt.mu_membership(case.problem, x, _cells(grid, 1.0)) <= 1e-12
+    W, _ = _image(case.problem, x)
+    assert opt.mu_membership(case.problem, W, _cells(grid, 1.0).values) <= 1e-12
     # inward-pointing density is not a normal
-    assert opt.mu_membership(case.problem, x, _cells(grid, -1.0)) == pytest.approx(1.0)
+    inward = _cells(grid, -1.0).values
+    assert opt.mu_membership(case.problem, W, inward) == pytest.approx(1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -209,6 +243,17 @@ def test_certify_state_cost_instance_with_endpoint_inclusion():
     )
     assert rep.passed
     assert rep.integrated_endpoint_residual == pytest.approx(0.0, abs=1e-10)
+
+
+def test_integrated_endpoint_residual_off_the_optimum():
+    # flat x = 0.5 on p3: h sum_k theta_x = 0.5, both endpoints are interior
+    # to the endpoint box, and with zero drift the density drops out
+    case = get_case("p3")
+    grid = Grid(1.0, 200)
+    x = Trajectory(grid, np.full((201, 1), 0.5))
+    for mu_val in (0.0, 0.3):
+        rep = opt.certify(case.problem, x, _cells(grid, mu_val), [0.0], [0.0])
+        assert rep.integrated_endpoint_residual == pytest.approx(0.5, abs=1e-12)
 
 
 def test_certify_fails_corrupted_trajectory():
@@ -264,15 +309,48 @@ def test_certify_infeasible_candidate_fails_cleanly():
 
 
 def test_certify_solver_output_all_cases():
-    tol = opt.Tolerances(
-        el=1e-3, wp_gap=1e-3, transversality=1e-3, mu_membership=1e-3
-    )
     for cid in ("p1", "p2", "p3", "p4"):
         case = get_case(cid)
         r = sv.solve(case.problem, sv.SolverConfig(grid_N=400))
         assert r.converged
-        rep = opt.certify(case.problem, r.x, r.mu, r.s1, r.s2, tolerances=tol)
+        rep = opt.certify(case.problem, r.x, r.mu, r.s1, r.s2)
         assert rep.passed, (cid, rep.to_dict())
+
+
+def _problem(n, theta, drift, omega1, omega2, phi="0"):
+    return pb.ProblemSpec(
+        n=n,
+        T=1.0,
+        phi=ex.parse(phi, n, ex.PROFILE_TERMINAL),
+        theta=ex.parse(theta, n, ex.PROFILE_RUNNING),
+        g=[ex.parse(gi, n, ex.PROFILE_DRIFT) for gi in drift],
+        omega1=omega1,
+        omega2=omega2,
+    )
+
+
+_SIN = _problem(1, "v1^2/2+sin(x1)", ["0"], Reals(1), Singleton([0.0, 1.0]))
+_BOX = _problem(
+    3, "((v1-1.5)^2+(v2+1.2)^2+(v3-0.8)^2)/2+(x1^2+x2^2+x3^2)/2",
+    ["x2", "x3-x1", "x1-x2"], Box([-1.0] * 3, [1.0] * 3),
+    Product([Singleton([0.0] * 3), Reals(3)]),
+)
+
+
+@pytest.mark.parametrize(
+    "P, N", [(_SIN, 200), (_SIN, 1000), (_BOX, 200)],
+    ids=["sin-N200", "sin-N1000", "box-N200"],
+)
+def test_certify_accepts_solver_kkt_point(P, N):
+    # the certificate checks the transcription's own stationarity system,
+    # so the solver's converged output passes at default tolerances on
+    # every grid (a cell-averaged adjoint failed EL and WP here by O(h))
+    r = sv.solve(P, sv.SolverConfig(grid_N=N))
+    assert r.converged
+    rep = opt.certify(P, r.x, r.mu, r.s1, r.s2)
+    assert rep.passed, (N, rep.to_dict())
+    assert rep.el_residual_l1 <= 1e-5
+    assert math.isfinite(rep.wp_gap_max)
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +369,8 @@ def test_endpoint_consistency_matches_transversality_decomposition():
     s1 = p.values[0] - gx0
     s2 = -p.values[-1] - gxT
     endpoints = np.concatenate([x.values[0], x.values[-1]])
-    lhs = opt.transversality_residual(case.problem, x, p)
+    L = opt.stationarity(case.problem, x, mu)
+    lhs = opt.transversality_residual(case.problem, endpoints, L)
     rhs = float(
         normal_cone_residual(
             case.problem.omega2, endpoints, np.concatenate([s1, s2])
@@ -300,6 +379,33 @@ def test_endpoint_consistency_matches_transversality_decomposition():
     assert lhs == pytest.approx(rhs, abs=1e-14)
     rep = opt.certify(case.problem, x, mu, s1, s2)
     assert rep.endpoint_consistency_defect <= 1e-14
+
+
+def test_stationarity_rows_are_the_transcription_adjoint_equation():
+    # L's rows are the discrete adjoint equation and the two endpoint rows,
+    # and reconstruct_adjoint is the staggered arc they imply
+    P = _problem(2, "(v1^2+v2^2)/2+x1*v2+cos(x2)", ["x2^2", "t*x1"],
+                 Reals(2), Reals(4), phi="x0_1*xT_2+xT_1^2")
+    grid = Grid(1.0, 30)
+    rng = np.random.default_rng(4)
+    x = Trajectory(grid, rng.standard_normal((31, 2)))
+    mu = CellPath(grid, rng.standard_normal((30, 2)))
+    L = opt.stationarity(P, x, mu)
+    t, X, V = grid.cell_lefts(), x.values[:-1], x.velocities()
+    theta_x, theta_v = P.theta_grad_cells(t, X, V)
+    G = P.g_jacobian_cells(t, X)
+    rhs = grid.h * (theta_x + np.einsum("kij,ki->kj", G, mu.values))
+    d = theta_v + mu.values
+    gx0, gxT = P.phi_gradients(x.values[0], x.values[-1])
+    assert np.allclose(L[1:-1], rhs[1:] - (d[1:] - d[:-1]), rtol=0, atol=1e-12)
+    assert np.allclose(L[0], rhs[0] - d[0] + gx0, rtol=0, atol=1e-12)
+    assert np.allclose(L[-1], d[-1] + gxT, rtol=0, atol=1e-12)
+    p = opt.reconstruct_adjoint(P, x, mu).values
+    assert np.allclose(p[1:], d, rtol=0, atol=1e-12)
+    assert np.allclose(np.diff(p, axis=0)[1:], rhs[1:] - L[1:-1], rtol=0, atol=1e-12)
+    xi = opt.endpoint_multipliers(L)
+    assert np.allclose(xi, np.concatenate([p[0] - gx0, -p[-1] - gxT]),
+                       rtol=0, atol=1e-12)
 
 
 def _scaled_capped_speed(c: float) -> pb.ProblemSpec:
@@ -324,9 +430,9 @@ def test_residual_homogeneity_under_cost_scaling():
     for c in (1.0, 2.5):
         P = _scaled_capped_speed(c)
         mu = _cells(grid, c)
-        p = opt.reconstruct_adjoint(P, x, mu)
-        el = opt.el_residual(P, x, p)
-        gap_max, gap_l1, _ = opt.weierstrass_gap(P, x, p)
+        el = opt.el_residual(opt.stationarity(P, x, mu))
+        W, _ = _image(P, x)
+        gap_max, gap_l1, _ = opt.weierstrass_gap(P, W, mu.values, grid.h)
         if base is None:
             base = (el, gap_max, gap_l1)
         else:
