@@ -150,7 +150,7 @@ class Singleton:
 class Polyhedron:
     """H-polyhedron {y : A y <= b}; certified nonempty at construction."""
 
-    def __init__(self, A, b, *, _skip_feasibility_check: bool = False):
+    def __init__(self, A, b):
         self.A = np.atleast_2d(np.asarray(A, dtype=float))
         self.b = np.asarray(b, dtype=float).reshape(-1)
         if self.A.shape[0] != self.b.shape[0]:
@@ -170,10 +170,9 @@ class Polyhedron:
         self.b.setflags(write=False)
         self._enumeration = None  # cached (vertices, rays) in reduced frame
         self._active = _ActiveSets(self.A, self.b)
-        if not _skip_feasibility_check:
-            # projecting the origin either finds a point of the set or
-            # meets an unbounded dual, which proves the set empty
-            _project_polyhedron(self, np.zeros((1, self.dim)), prove_empty=True)
+        # projecting the origin either finds a point of the set or meets
+        # an unbounded dual, which proves the set empty
+        _project_polyhedron(self, np.zeros((1, self.dim)), prove_empty=True)
 
     def __repr__(self):
         return f"Polyhedron(A={self.A.tolist()}, b={self.b.tolist()})"
@@ -662,7 +661,7 @@ def tangent_cone(S: ConvexSet, x, tol: float = 1e-9) -> ConvexSet:
         if gap > tol:
             return Reals(S.dim)
         normal = (p - S.center)[None, :]
-        return Polyhedron(normal, np.zeros(1), _skip_feasibility_check=True)
+        return Polyhedron(normal, np.zeros(1))
     if isinstance(S, Singleton):
         return Singleton(np.zeros(S.dim))
     if isinstance(S, Polyhedron):
@@ -670,9 +669,7 @@ def tangent_cone(S: ConvexSet, x, tol: float = 1e-9) -> ConvexSet:
         active = slack <= tol * (1.0 + np.abs(S.b))
         if not np.any(active):
             return Reals(S.dim)
-        return Polyhedron(
-            S.A[active], np.zeros(int(active.sum())), _skip_feasibility_check=True
-        )
+        return Polyhedron(S.A[active], np.zeros(int(active.sum())))
     if isinstance(S, Product):
         return Product(
             tangent_cone(f, block, tol) for f, block in zip(S.factors, S._split(p))
@@ -725,6 +722,5 @@ def neg_normal_sum_distance(S1: ConvexSet, x1, S2: ConvexSet, x2, v) -> float:
     v = np.asarray(v, dtype=float).reshape(-1)
     A1, b1 = _halfspaces(tangent_cone(S1, x1))
     A2, b2 = _halfspaces(tangent_cone(S2, x2))
-    inter = Polyhedron(np.vstack([A1, A2]), np.concatenate([b1, b2]),
-                       _skip_feasibility_check=True)
+    inter = Polyhedron(np.vstack([A1, A2]), np.concatenate([b1, b2]))
     return float(np.linalg.norm(project(inter, -v)))

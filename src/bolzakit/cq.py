@@ -14,7 +14,7 @@ to restoration slack) and never a proof that the qualification holds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -44,25 +44,7 @@ class CqProbeResult:
     records: list = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "kappa_hat": self.kappa_hat,
-            "samples": self.samples,
-            "admitted": self.admitted,
-            "excluded_feasible": self.excluded_feasible,
-            "dropped_nonconverged": self.dropped_nonconverged,
-            "delta": self.delta,
-            "seed": self.seed,
-            "caveat": self.caveat,
-            "records": [
-                {
-                    "perturbation_norm": r.perturbation_norm,
-                    "lhs_upper_bound": r.lhs_upper_bound,
-                    "rhs_defect": r.rhs_defect,
-                    "ratio": r.ratio,
-                }
-                for r in self.records
-            ],
-        }
+        return asdict(self)
 
 
 _RHS_FLOOR = 1e-10  # below this the ratio is 0/0 noise

@@ -7,14 +7,20 @@ with a constant exponent) so that every parseable expression is smooth
 wherever it evaluates.  Trees are immutable; evaluation and symbolic
 differentiation are pure functions and safe to share across threads.
 
-Evaluation accepts plain floats or numpy arrays in the environment and
-is applied elementwise, which is what the grid-based callers rely on.
+Evaluation compiles a list of trees once into a post-order step list
+with one step per structurally distinct subtree, and a loop runs it on
+plain floats or numpy arrays, elementwise, which is what the grid-based
+callers rely on.  The domain test of a div or pow whose right operand
+is constant is decided at compile time.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
+from operator import itemgetter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -311,7 +317,95 @@ def parse(text: str, dimension: int, profile: str) -> Expr:
 
 
 # ---------------------------------------------------------------------------
-# evaluation
+# evaluation: trees compile once into a post-order step list
+
+_FN = {
+    "neg": np.negative, "sin": np.sin, "cos": np.cos, "exp": np.exp,
+    "log": np.log, "sqrt": np.sqrt, "add": np.add, "sub": np.subtract,
+    "mul": np.multiply, "div": np.divide, "pow": np.power,
+}
+# domain tests: (key index of the tested operand, comparison with 0.0, message)
+_DOMAIN = {
+    "log": (1, np.less_equal, "log of non-positive argument"),
+    "sqrt": (1, np.less, "sqrt of negative argument"),
+    "div": (2, np.equal, "division by zero"),
+    "pow": (1, np.less_equal, "non-integer power of non-positive base"),
+}
+
+
+class Program(NamedTuple):
+    """Trees compiled by compile_program.  Slot 0 holds the environment
+    and a constant's slot its value.  A step (out, fn, a, b, test, node)
+    writes fn(a) or fn(a, b) of slots a, b to slot out, after its domain
+    test (slot, comparison, message) if it has one; a variable's step
+    looks its name up in slot 0.  ``outputs`` are the trees' slots."""
+
+    slots: tuple
+    steps: tuple
+    outputs: tuple
+
+
+def compile_program(trees) -> Program:
+    """Flatten trees into one step list with one slot per structurally
+    distinct subtree, placed at its first occurrence in post-order: a
+    shared subtree is evaluated once, and the first step to fail is the
+    node a left-to-right recursive walk would fail at.  Constants are
+    keyed by value and sign bit, so 0.0 and -0.0 stay apart."""
+    slots: list = [None]
+    steps: list = []
+    index: dict = {}
+
+    def visit(e: Expr) -> int:
+        if isinstance(e, Const):
+            key = ("const", e.value, math.copysign(1.0, e.value))
+        elif isinstance(e, Var):
+            key = ("var", e.name)
+        elif isinstance(e, Unary):
+            key = (e.op, visit(e.arg), None)
+        else:
+            key = (e.op, visit(e.left), visit(e.right))
+        if key not in index:
+            index[key] = len(slots)
+            slots.append(e.value if isinstance(e, Const) else None)
+            if isinstance(e, Var):
+                steps.append((index[key], itemgetter(e.name), 0, None, None, e))
+            elif not isinstance(e, Const):
+                if e.op not in _FN:
+                    raise ExprError(f"unknown operator {e.op!r}")
+                test = _DOMAIN.get(e.op) if _may_fail(e) else None
+                if test is not None:
+                    test = (key[test[0]], test[1], test[2])
+                steps.append((index[key], _FN[e.op], key[1], key[2], test, e))
+        return index[key]
+
+    outputs = tuple(visit(e) for e in trees)
+    return Program(tuple(slots), tuple(steps), outputs)
+
+
+def _may_fail(e: Unary | Binary) -> bool:
+    """False when the constant right operand of a div or pow decides its
+    domain test at compile time: a nonzero divisor, an integral exponent.
+    A pow exponent that is not constant raises ExprError."""
+    if e.op == "pow" or (e.op == "div" and is_constant(e.right)):
+        try:
+            c = constant_value(e.right)
+        except ExprDomainError:
+            return True  # the right operand's own steps raise first
+        return c == 0.0 if e.op == "div" else not c.is_integer()
+    return True
+
+
+def run_program(program: Program, env: dict) -> list:
+    """Values of the compiled trees under env, in compile order."""
+    vals = [env, *program.slots[1:]]
+    try:
+        for out, fn, a, b, test, node in program.steps:
+            if test is not None and test[1](vals[test[0]], 0.0).any():
+                raise ExprDomainError(test[2], node)
+            vals[out] = fn(vals[a]) if b is None else fn(vals[a], vals[b])
+    except KeyError as err:
+        raise ExprError(f"no value supplied for variable `{err.args[0]}`") from None
+    return [vals[i] for i in program.outputs]
 
 
 def eval_expr(e: Expr, env: dict) -> float | np.ndarray:
@@ -322,67 +416,15 @@ def eval_expr(e: Expr, env: dict) -> float | np.ndarray:
     non-positive value, sqrt of a negative value, division by zero, or a
     non-integer power of a non-positive base.
     """
-    result = _eval(e, env)
-    if np.ndim(result) == 0:
-        return float(result)
-    return result
-
-
-def _eval(e: Expr, env: dict):
-    if isinstance(e, Const):
-        return e.value
-    if isinstance(e, Var):
-        try:
-            return env[e.name]
-        except KeyError:
-            raise ExprError(f"no value supplied for variable `{e.name}`") from None
-    if isinstance(e, Unary):
-        val = _eval(e.arg, env)
-        if e.op == "neg":
-            return -np.asarray(val) if np.ndim(val) else -val
-        if e.op == "sin":
-            return np.sin(val)
-        if e.op == "cos":
-            return np.cos(val)
-        if e.op == "exp":
-            return np.exp(val)
-        if e.op == "log":
-            if np.any(np.asarray(val) <= 0.0):
-                raise ExprDomainError("log of non-positive argument", e)
-            return np.log(val)
-        if e.op == "sqrt":
-            if np.any(np.asarray(val) < 0.0):
-                raise ExprDomainError("sqrt of negative argument", e)
-            return np.sqrt(val)
-        raise ExprError(f"unknown unary op {e.op!r}")
-    left = _eval(e.left, env)
-    if e.op == "pow":
-        exponent = constant_value(e.right)
-        if float(exponent) != round(exponent):
-            if np.any(np.asarray(left) <= 0.0):
-                raise ExprDomainError(
-                    "non-integer power of non-positive base", e
-                )
-        return np.power(left, exponent)
-    right = _eval(e.right, env)
-    if e.op == "add":
-        return np.add(left, right)
-    if e.op == "sub":
-        return np.subtract(left, right)
-    if e.op == "mul":
-        return np.multiply(left, right)
-    if e.op == "div":
-        if np.any(np.asarray(right) == 0.0):
-            raise ExprDomainError("division by zero", e)
-        return np.divide(left, right)
-    raise ExprError(f"unknown binary op {e.op!r}")
+    (result,) = run_program(compile_program([e]), env)
+    return float(result) if np.ndim(result) == 0 else result
 
 
 def constant_value(e: Expr) -> float:
     """Numeric value of a variable-free subtree."""
     if not is_constant(e):
         raise ExprError(f"`{to_string(e)}` is not a constant expression")
-    return float(_eval(e, {}))
+    return eval_expr(e, {})
 
 
 # ---------------------------------------------------------------------------

@@ -89,6 +89,21 @@ def _finite_vector(value, what: str) -> list[float]:
     return out
 
 
+def _finite_rows(value, what: str) -> list[list[float]]:
+    if not isinstance(value, list):
+        raise FormatError(f"{what} must be an array of rows")
+    rows = [_finite_vector(row, what) for row in value]
+    if len({len(r) for r in rows}) > 1:
+        raise FormatError(f"{what} rows have inconsistent lengths")
+    return rows
+
+
+def _positive_int(value, what: str) -> int:
+    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+        raise FormatError(f"{what} must be a positive integer")
+    return value
+
+
 # ---------------------------------------------------------------------------
 # convex sets
 
@@ -119,23 +134,29 @@ def set_from_json(obj) -> ConvexSet:
     kind = obj["type"]
     if kind == "reals":
         _require_keys(obj, {"type", "dim"}, set(), "reals set")
-        return Reals(int(obj["dim"]))
+        return Reals(_positive_int(obj["dim"], "reals dim"))
     if kind == "box":
         _require_keys(obj, {"type", "lower", "upper"}, set(), "box set")
+        if not (isinstance(obj["lower"], list) and isinstance(obj["upper"], list)):
+            raise FormatError("box lower and upper must be arrays")
         lower = [_decode_extended(v, "box lower") for v in obj["lower"]]
         upper = [_decode_extended(v, "box upper") for v in obj["upper"]]
         return Box(lower, upper)
     if kind == "ball":
         _require_keys(obj, {"type", "center", "radius"}, set(), "ball set")
-        return Ball(_finite_vector(obj["center"], "ball center"), obj["radius"])
+        radius = _decode_extended(obj["radius"], "ball radius")
+        return Ball(_finite_vector(obj["center"], "ball center"), radius)
     if kind == "polyhedron":
         _require_keys(obj, {"type", "A", "b"}, set(), "polyhedron set")
-        return Polyhedron(obj["A"], _finite_vector(obj["b"], "polyhedron b"))
+        A = _finite_rows(obj["A"], "polyhedron A")
+        return Polyhedron(A, _finite_vector(obj["b"], "polyhedron b"))
     if kind == "singleton":
         _require_keys(obj, {"type", "point"}, set(), "singleton set")
         return Singleton(_finite_vector(obj["point"], "singleton point"))
     if kind == "product":
         _require_keys(obj, {"type", "factors"}, set(), "product set")
+        if not isinstance(obj["factors"], list):
+            raise FormatError("product factors must be an array of sets")
         return Product([set_from_json(f) for f in obj["factors"]])
     raise FormatError(f"unknown set type {kind!r}")
 
@@ -175,9 +196,7 @@ def problem_from_json(obj) -> ProblemSpec:
             f"unsupported problem version {obj['version']!r}; "
             f"expected {PROBLEM_VERSION}"
         )
-    n = obj["n"]
-    if not isinstance(n, int) or n < 1:
-        raise FormatError("n must be a positive integer")
+    n = _positive_int(obj["n"], "n")
     T = _decode_extended(obj["T"], "T")
     if not (math.isfinite(T) and T > 0):
         raise FormatError("T must be a positive finite real")
@@ -217,13 +236,8 @@ def _values_matrix(obj, what: str) -> np.ndarray:
     values = obj["values"]
     if not isinstance(values, list) or not values:
         raise FormatError(f"{what} values must be a nonempty array of rows")
-    rows = []
-    for row in values:
-        rows.append(_finite_vector(row if isinstance(row, list) else [row], what))
-    widths = {len(r) for r in rows}
-    if len(widths) != 1:
-        raise FormatError(f"{what} rows have inconsistent lengths")
-    arr = np.asarray(rows, dtype=float)
+    rows = [row if isinstance(row, list) else [row] for row in values]
+    arr = np.asarray(_finite_rows(rows, what), dtype=float)
     if arr.shape[1] != obj["n"]:
         raise FormatError(
             f"{what} rows have {arr.shape[1]} columns but n = {obj['n']}"

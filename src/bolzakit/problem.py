@@ -19,13 +19,13 @@ cell-by-cell with the continuous optimality conditions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import expr as ex
 from .convex import ConvexSet, distance
-from .funspace import CellPath, Grid, Trajectory
+from .funspace import CellPath, Grid, Trajectory, ac_norm
 
 
 class ProblemError(ValueError):
@@ -50,13 +50,6 @@ class ProblemSpec:
     omega2: ConvexSet
     lipschitz_ell: float | None = None
 
-    # symbolic gradients, compiled once
-    _theta_x: list = field(init=False, repr=False)
-    _theta_v: list = field(init=False, repr=False)
-    _phi_x0: list = field(init=False, repr=False)
-    _phi_xT: list = field(init=False, repr=False)
-    _g_jac: list = field(init=False, repr=False)
-
     def __post_init__(self):
         if self.n < 1:
             raise ProblemError("state dimension must be positive")
@@ -80,13 +73,17 @@ class ProblemSpec:
         self._check_profile(self.phi, ex.PROFILE_TERMINAL, "terminal cost")
         for i, gi in enumerate(self.g):
             self._check_profile(gi, ex.PROFILE_DRIFT, f"drift component {i + 1}")
+        # compiled programs: theta; theta_x then theta_v; g; g_x row-major;
+        # phi; phi_x0 then phi_xT
         xs = [f"x{i}" for i in range(1, self.n + 1)]
         vs = [f"v{i}" for i in range(1, self.n + 1)]
-        self._theta_x = [ex.diff(self.theta, v) for v in xs]
-        self._theta_v = [ex.diff(self.theta, v) for v in vs]
-        self._phi_x0 = [ex.diff(self.phi, f"x0_{i}") for i in range(1, self.n + 1)]
-        self._phi_xT = [ex.diff(self.phi, f"xT_{i}") for i in range(1, self.n + 1)]
-        self._g_jac = [[ex.diff(gi, v) for v in xs] for gi in self.g]
+        ends = [f"{e}_{i}" for e in ("x0", "xT") for i in range(1, self.n + 1)]
+        self._theta_grad = ex.compile_program([ex.diff(self.theta, v) for v in xs + vs])
+        self._phi_grad = ex.compile_program([ex.diff(self.phi, v) for v in ends])
+        self._g_jac = ex.compile_program([ex.diff(gi, v) for gi in self.g for v in xs])
+        self._theta = ex.compile_program([self.theta])
+        self._g = ex.compile_program(self.g)
+        self._phi = ex.compile_program([self.phi])
 
     def _check_profile(self, e: ex.Expr, profile: str, what: str):
         legal = ex.legal_variables(profile, self.n)
@@ -98,68 +95,40 @@ class ProblemSpec:
 
     # ---- vectorized expression evaluation over cells -------------------
 
-    def _running_env(self, t: np.ndarray, X: np.ndarray, V: np.ndarray) -> dict:
+    def _run(self, program: ex.Program, rows: int, t, **blocks) -> np.ndarray:
+        """Outputs of a program as the columns of a (rows, k) array, with
+        t and the columns of each block bound to their names (x=X binds
+        x1.., x0_=x0 binds x0_1..); t is None for the terminal cost."""
         env = {"t": t}
-        for i in range(self.n):
-            env[f"x{i + 1}"] = X[:, i]
-            env[f"v{i + 1}"] = V[:, i]
-        return env
-
-    def _drift_env(self, t: np.ndarray, X: np.ndarray) -> dict:
-        env = {"t": t}
-        for i in range(self.n):
-            env[f"x{i + 1}"] = X[:, i]
-        return env
-
-    def _terminal_env(self, x0: np.ndarray, xT: np.ndarray) -> dict:
-        env = {}
-        for i in range(self.n):
-            env[f"x0_{i + 1}"] = float(x0[i])
-            env[f"xT_{i + 1}"] = float(xT[i])
-        return env
-
-    def _eval_cells(self, trees: list, env: dict, cells: int) -> np.ndarray:
-        out = np.empty((cells, len(trees)))
-        for j, tree in enumerate(trees):
-            out[:, j] = np.broadcast_to(ex.eval_expr(tree, env), (cells,))
+        for prefix, block in blocks.items():
+            for i in range(self.n):
+                env[f"{prefix}{i + 1}"] = block[..., i]
+        out = np.empty((rows, len(program.outputs)))
+        for j, value in enumerate(ex.run_program(program, env)):
+            out[:, j] = value
         return out
 
     def theta_cells(self, t, X, V) -> np.ndarray:
-        env = self._running_env(t, X, V)
-        return np.broadcast_to(ex.eval_expr(self.theta, env), (len(t),)).astype(float)
+        return self._run(self._theta, len(t), t, x=X, v=V)[:, 0]
 
     def theta_grad_cells(self, t, X, V) -> tuple[np.ndarray, np.ndarray]:
-        env = self._running_env(t, X, V)
-        return (
-            self._eval_cells(self._theta_x, env, len(t)),
-            self._eval_cells(self._theta_v, env, len(t)),
-        )
+        out = self._run(self._theta_grad, len(t), t, x=X, v=V)
+        return out[:, : self.n], out[:, self.n :]
 
     def g_cells(self, t, X) -> np.ndarray:
-        env = self._drift_env(t, X)
-        return self._eval_cells(self.g, env, len(t))
+        return self._run(self._g, len(t), t, x=X)
 
     def g_jacobian_cells(self, t, X) -> np.ndarray:
         """Drift Jacobians per cell, shape (cells, n, n) with [k, i, j] =
         d g_i / d x_j."""
-        env = self._drift_env(t, X)
-        cells = len(t)
-        out = np.empty((cells, self.n, self.n))
-        for i in range(self.n):
-            for j in range(self.n):
-                out[:, i, j] = np.broadcast_to(
-                    ex.eval_expr(self._g_jac[i][j], env), (cells,)
-                )
-        return out
+        return self._run(self._g_jac, len(t), t, x=X).reshape(-1, self.n, self.n)
 
     def phi_value(self, x0, xT) -> float:
-        return float(ex.eval_expr(self.phi, self._terminal_env(x0, xT)))
+        return float(self._run(self._phi, 1, None, x0_=x0, xT_=xT)[0, 0])
 
     def phi_gradients(self, x0, xT) -> tuple[np.ndarray, np.ndarray]:
-        env = self._terminal_env(x0, xT)
-        gx0 = np.array([ex.eval_expr(e, env) for e in self._phi_x0])
-        gxT = np.array([ex.eval_expr(e, env) for e in self._phi_xT])
-        return gx0, gxT
+        out = self._run(self._phi_grad, 1, None, x0_=x0, xT_=xT)[0]
+        return out[: self.n], out[self.n :]
 
 
 @dataclass(frozen=True)
@@ -301,8 +270,6 @@ def feasibility_residual(P: ProblemSpec, x: Trajectory) -> tuple[float, float]:
 
 def neighborhood_radius(x: Trajectory) -> float:
     """Default working radius around a reference curve for estimates."""
-    from .funspace import ac_norm
-
     return 0.1 * (1.0 + ac_norm(x))
 
 
@@ -342,8 +309,6 @@ def estimate_lipschitz(
     the given ac-radius and returns 1.5x the largest observed ratio
     |J(x1) - J(x2)| / ||x1 - x2||_ac.  Flagged as an estimate.
     """
-    from .funspace import ac_norm
-
     if P.lipschitz_ell is not None:
         return LipschitzEstimate(P.lipschitz_ell, "declared", 0, 0.0)
     _check_grid(P, xbar)

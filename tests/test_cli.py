@@ -66,6 +66,27 @@ def test_solve_unknown_field_rejected(workdir):
     assert main(["solve", "odd.json"]) == 2
 
 
+@pytest.mark.parametrize("field, value", [
+    ("omega1", {"type": "reals", "dim": "one"}),
+    ("omega1", {"type": "reals", "dim": 1.7}),
+    ("omega1", {"type": "box", "lower": 1.0, "upper": [2.0]}),
+    ("omega1", {"type": "ball", "center": [0.0], "radius": "big"}),
+    ("omega1", {"type": "polyhedron", "A": [[1.0], [1.0, 2.0]], "b": [1.0, 1.0]}),
+    ("omega1", {"type": "polyhedron", "A": [["x"]], "b": [1.0]}),
+    ("omega2", {"type": "product", "factors": 3}),
+    ("n", True),
+], ids=["dim-string", "dim-fraction", "box-scalar-bound", "ball-string-radius",
+        "polyhedron-ragged", "polyhedron-string-entry", "product-scalar-factors",
+        "n-boolean"])
+def test_solve_malformed_set_or_dimension_exits_two(workdir, capsys, field, value):
+    payload = jsonio.problem_to_json(get_case("p1").problem)
+    payload[field] = value
+    (workdir / "bad.json").write_text(json.dumps(payload), encoding="utf-8")
+    assert main(["solve", "bad.json"]) == 2
+    assert capsys.readouterr().err.startswith("error: bad.json: ")
+    assert not os.path.exists("bad.trajectory.json")
+
+
 def test_solve_deterministic_outputs(workdir):
     _write_case(workdir / "p2.json", "p2")
     assert main(["solve", "p2.json", "--grid", "120", "--prefix", "a"]) == 0

@@ -185,3 +185,68 @@ def test_diff_is_linear_node_for_node():
 def test_pow_integer_negative_base_ok():
     e = ex.parse("x1^3", 1, ex.PROFILE_RUNNING)
     assert ex.eval_expr(e, {"x1": -2.0}) == -8.0
+
+
+def _node_count(e) -> int:
+    if isinstance(e, ex.Unary):
+        return 1 + _node_count(e.arg)
+    if isinstance(e, ex.Binary):
+        return 1 + _node_count(e.left) + _node_count(e.right)
+    return 1
+
+
+def test_compiled_gradients_share_subtrees():
+    e = ex.parse("exp(x1*x2)", 2, ex.PROFILE_RUNNING)
+    grads = [ex.diff(e, "x1"), ex.diff(e, "x2")]
+    program = ex.compile_program(grads)
+    assert len(program.steps) < sum(_node_count(g) for g in grads)
+    nodes = [step[-1] for step in program.steps]
+    assert nodes.count(e) == 1  # exp(x1*x2) is one step, used by both
+    env = {"x1": np.linspace(-1, 1, 5), "x2": np.linspace(0.5, 2, 5)}
+    for tree, value in zip(grads, ex.run_program(program, env)):
+        assert np.array_equal(value, ex.eval_expr(tree, env))
+
+
+def test_compiled_constants_keep_their_sign_bit():
+    trees = [ex.Binary("add", ex.Var("x1"), ex.Const(-0.0)),
+             ex.parse("x1+0", 1, ex.PROFILE_RUNNING)]
+    minus, plus = ex.run_program(ex.compile_program(trees), {"x1": -0.0})
+    assert minus == 0.0 and np.signbit(minus)
+    assert plus == 0.0 and not np.signbit(plus)
+
+
+def test_domain_error_names_first_failing_subexpression_in_problem():
+    from bolzakit.convex import Reals
+    from bolzakit.problem import ProblemSpec
+
+    P = ProblemSpec(
+        n=1, T=1.0, phi=ex.parse("0", 1, ex.PROFILE_TERMINAL),
+        theta=ex.parse("log(x1)+sqrt(x1)", 1, ex.PROFILE_RUNNING),
+        g=[ex.parse("0", 1, ex.PROFILE_DRIFT)], omega1=Reals(1), omega2=Reals(2),
+    )
+    t, X, V = np.zeros(3), -np.ones((3, 1)), np.zeros((3, 1))
+    with pytest.raises(ex.ExprDomainError, match=r"`log\(x1\)`"):
+        P.theta_cells(t, X, V)
+    # theta_x = 1/x1 + 1/(2*sqrt(x1)): the division is fine at -1
+    with pytest.raises(ex.ExprDomainError, match=r"`sqrt\(x1\)`$"):
+        P.theta_grad_cells(t, X, V)
+
+
+@pytest.mark.parametrize("text, x1, value", [
+    ("x1^3", -2.0, -8.0),
+    ("x1^-2", -2.0, 0.25),
+    ("x1/2", 0.0, 0.0),
+    ("x1^0.5", -2.0, "non-integer power"),
+    ("1/x1", 0.0, "division by zero"),
+])
+def test_domain_tests_decided_at_compile_time(text, x1, value):
+    e = ex.parse(text, 1, ex.PROFILE_RUNNING)
+    (*_, test, node) = ex.compile_program([e]).steps[-1]
+    assert node == e
+    if isinstance(value, str):
+        assert test is not None
+        with pytest.raises(ex.ExprDomainError, match=value):
+            ex.eval_expr(e, {"x1": x1})
+    else:
+        assert test is None  # a nonzero divisor or an integral exponent
+        assert ex.eval_expr(e, {"x1": x1}) == value
