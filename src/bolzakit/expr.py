@@ -335,9 +335,10 @@ _DOMAIN = {
 
 class Program(NamedTuple):
     """Trees compiled by compile_program.  Slot 0 holds the environment
-    and a constant's slot its value.  A step (out, fn, a, b, test, node)
-    writes fn(a) or fn(a, b) of slots a, b to slot out, after its domain
-    test (slot, comparison, message) if it has one; a variable's step
+    and a constant's slot its value.  A step (out, fn, a, b, free, test,
+    node) writes fn(a) or fn(a, b) of slots a, b to slot out, after its
+    domain test (slot, comparison, message) if it has one, then releases
+    the slots in ``free``, whose last reader it is; a variable's step
     looks its name up in slot 0.  ``outputs`` are the trees' slots."""
 
     slots: tuple
@@ -368,18 +369,25 @@ def compile_program(trees) -> Program:
             index[key] = len(slots)
             slots.append(e.value if isinstance(e, Const) else None)
             if isinstance(e, Var):
-                steps.append((index[key], itemgetter(e.name), 0, None, None, e))
+                steps.append([index[key], itemgetter(e.name), 0, None, (), None, e])
             elif not isinstance(e, Const):
                 if e.op not in _FN:
                     raise ExprError(f"unknown operator {e.op!r}")
                 test = _DOMAIN.get(e.op) if _may_fail(e) else None
                 if test is not None:
                     test = (key[test[0]], test[1], test[2])
-                steps.append((index[key], _FN[e.op], key[1], key[2], test, e))
+                steps.append([index[key], _FN[e.op], key[1], key[2], (), test, e])
         return index[key]
 
     outputs = tuple(visit(e) for e in trees)
-    return Program(tuple(slots), tuple(steps), outputs)
+    # liveness: a computed slot that is not an output is released by its
+    # last reader, so a run holds only the intermediates still ahead of it
+    last_reader = {}
+    for step in steps:
+        last_reader[step[2]] = last_reader[step[3]] = step
+    for slot in {step[0] for step in steps} - set(outputs):
+        last_reader[slot][4] += (slot,)
+    return Program(tuple(slots), tuple(map(tuple, steps)), outputs)
 
 
 def _may_fail(e: Unary | Binary) -> bool:
@@ -399,10 +407,12 @@ def run_program(program: Program, env: dict) -> list:
     """Values of the compiled trees under env, in compile order."""
     vals = [env, *program.slots[1:]]
     try:
-        for out, fn, a, b, test, node in program.steps:
+        for out, fn, a, b, free, test, node in program.steps:
             if test is not None and test[1](vals[test[0]], 0.0).any():
                 raise ExprDomainError(test[2], node)
             vals[out] = fn(vals[a]) if b is None else fn(vals[a], vals[b])
+            for i in free:
+                vals[i] = None
     except KeyError as err:
         raise ExprError(f"no value supplied for variable `{err.args[0]}`") from None
     return [vals[i] for i in program.outputs]

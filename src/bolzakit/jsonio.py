@@ -191,9 +191,10 @@ def problem_from_json(obj) -> ProblemSpec:
         {"lipschitz_ell"},
         "problem",
     )
-    if obj["version"] != PROBLEM_VERSION:
+    version = obj["version"]
+    if type(version) is not int or version != PROBLEM_VERSION:
         raise FormatError(
-            f"unsupported problem version {obj['version']!r}; "
+            f"unsupported problem version {version!r}; "
             f"expected {PROBLEM_VERSION}"
         )
     n = _positive_int(obj["n"], "n")
@@ -238,10 +239,9 @@ def _values_matrix(obj, what: str) -> np.ndarray:
         raise FormatError(f"{what} values must be a nonempty array of rows")
     rows = [row if isinstance(row, list) else [row] for row in values]
     arr = np.asarray(_finite_rows(rows, what), dtype=float)
-    if arr.shape[1] != obj["n"]:
-        raise FormatError(
-            f"{what} rows have {arr.shape[1]} columns but n = {obj['n']}"
-        )
+    n = _positive_int(obj["n"], f"{what} n")
+    if arr.shape[1] != n:
+        raise FormatError(f"{what} rows have {arr.shape[1]} columns but n = {n}")
     return arr
 
 

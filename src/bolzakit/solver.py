@@ -6,16 +6,22 @@ The problem is discretized on a uniform grid and solved as
                         (x_0, x_N) in Omega2
 
 by an augmented-Lagrangian method with explicit slacks: the inner loop
-minimizes the augmented objective in x by gradient descent with Armijo
-backtracking, the slacks are updated by exact projection, and the
-multipliers by the standard dual ascent step.  Cell multipliers are kept
-as densities (the dual pairing is sum_k h <mu_k, w_k>), so mu_k
-approximates a multiplier function value rather than an h-scaled impulse.
+minimizes the augmented objective in x, the slacks are updated by exact
+projection, and the multipliers by the standard dual ascent step.  Cell
+multipliers are kept as densities (the dual pairing is sum_k h <mu_k, w_k>),
+so mu_k approximates a multiplier function value rather than an h-scaled
+impulse.
 
-The descent direction is the gradient in (x(0), velocity) coordinates
-weighted by the discrete L2 inner product.  This is still plain gradient
-descent, just measured in the geometry natural to the curve space; in raw
-node coordinates the conditioning degrades like N^2 with grid refinement.
+The inner loop is L-BFGS (Nocedal & Wright, Numerical Optimization, ch. 7)
+in (x(0), velocity) coordinates under the discrete L2 inner product
+<a, b> = a_0.b_0 + h sum_j a_j.b_j, the geometry natural to the curve
+space: there iteration counts do not depend on the grid, while in raw node
+coordinates the conditioning degrades like N^2 with grid refinement.  Each
+step tries the unit step first, with Armijo backtracking on the
+directional derivative.  When the quasi-Newton direction does not descend
+or its backtrack reaches float resolution, the memory is cleared and the
+step is a steepest-descent one in the same metric, with the last accepted
+step carried over and a gradient-shrink rescue at the float floor.
 """
 
 from __future__ import annotations
@@ -41,6 +47,8 @@ class UnboundedError(SolverError):
 
 _OBJECTIVE_FLOOR = -1e12
 _ARMIJO_C = 1e-4
+_MEMORY = 8  # L-BFGS pairs kept within one inner minimization
+_CURVATURE_SKIP = 1e-12  # a pair with s.y <= this * |s| |y| is not stored
 
 
 @dataclass(frozen=True)
@@ -130,6 +138,13 @@ class _AlmState:
         self.s = np.zeros(2 * P.n)
         self.rho = cfg.penalty_rho
         self.step = 1.0
+        # L-BFGS pairs (s, y) in the stacked coordinates of _riesz, as ring
+        # buffers: the _pairs slots before _head, newest first
+        self._S = np.empty((_MEMORY, grid.N + 1, P.n))
+        self._Y = np.empty_like(self._S)
+        self._rho = np.empty(_MEMORY)
+        self._head = 0
+        self._forget()
 
     # -- augmented objective ----------------------------------------------
 
@@ -171,79 +186,147 @@ class _AlmState:
         X = self.X
         return self.grad(X) + pb.constraint_adjoint(self.P, self.grid, X, self.mu, S)
 
-    # -- metric descent ---------------------------------------------------
+    # -- descent in the curve metric ---------------------------------------
 
-    def _metric_direction(self, grad: np.ndarray):
-        """Descent direction and squared metric norm from a node gradient.
+    def _riesz(self, grad: np.ndarray) -> np.ndarray:
+        """Gradient in (x(0), cell velocity) coordinates, stacked as one
+        (N + 1, n) array, for the metric <a, b> = a_0.b_0 + h sum_j a_j.b_j:
+        row 0 is sum_k grad_k and row j + 1 the tail sum_{m > j} grad_m.
+        In this metric gradient norms do not depend on the grid."""
+        return np.cumsum(grad[::-1], axis=0)[::-1]
 
-        Coordinates are (x(0), cell velocities); the velocity block is
-        weighted by h so the gradient norm is grid-independent.
-        """
+    def _evaluate(self, X: np.ndarray) -> tuple[float, np.ndarray]:
+        """Augmented value and its gradient in the curve metric at X."""
+        F, grad = self.aug_value_and_grad(X)
+        return F, self._riesz(grad)
+
+    def _dot(self, a: np.ndarray, b: np.ndarray) -> float:
+        """Curve-metric inner product of two arrays stacked as by _riesz."""
+        return float(a[0] @ b[0]) + self.grid.h * float(
+            np.einsum("ki,ki->", a[1:], b[1:]))
+
+    def _apply_step(self, X: np.ndarray, D: np.ndarray, alpha: float) -> np.ndarray:
+        """The node array at (x(0), velocities) of X plus alpha * D."""
         h = self.grid.h
-        g0 = grad.sum(axis=0)
-        # d/dv_j of F = h * sum_{m > j} grad_m
-        tail = np.cumsum(grad[::-1], axis=0)[::-1]
-        gV = h * tail[1:]
-        d0 = -g0
-        dV = -gV / h
-        norm_sq = float(g0 @ g0) + float(np.einsum("ki,ki->", gV, gV)) / h
-        return d0, dV, norm_sq
-
-    def _apply_step(self, X: np.ndarray, d0: np.ndarray, dV: np.ndarray,
-                    alpha: float) -> np.ndarray:
-        h = self.grid.h
-        x0 = X[0] + alpha * d0
-        V = np.diff(X, axis=0) / h + alpha * dV
         out = np.empty_like(X)
-        out[0] = x0
-        out[1:] = x0 + h * np.cumsum(V, axis=0)
+        out[0] = X[0] + alpha * D[0]
+        out[1:] = out[0] + h * np.cumsum(np.diff(X, axis=0) / h + alpha * D[1:], axis=0)
         return out
 
+    def _forget(self):
+        """Empty the L-BFGS memory."""
+        self._pairs = 0
+        self._gamma = 1.0
+
+    def _remember(self, D: np.ndarray, alpha: float, R_new: np.ndarray,
+                  R: np.ndarray):
+        """Store the pair s = alpha * D, y = R_new - R in the ring buffers,
+        over the oldest one, unless its curvature s.y is not clearly
+        positive."""
+        y = R_new - R
+        sy, yy = alpha * self._dot(D, y), self._dot(y, y)
+        if not sy > _CURVATURE_SKIP * alpha * np.sqrt(self._dot(D, D) * yy):
+            return
+        i = self._head
+        np.multiply(D, alpha, out=self._S[i])
+        self._Y[i] = y
+        self._rho[i] = 1.0 / sy
+        self._gamma = sy / yy
+        self._head = (i + 1) % _MEMORY
+        self._pairs = min(self._pairs + 1, _MEMORY)
+
+    def _lbfgs_direction(self, R: np.ndarray) -> np.ndarray:
+        """-H R for the L-BFGS inverse Hessian H of the stored pairs, by the
+        two-loop recursion in the curve metric; -R with no pairs stored."""
+        q = -R
+        newest_first = [(self._head - 1 - k) % _MEMORY for k in range(self._pairs)]
+        alphas = []
+        for i in newest_first:
+            a = self._rho[i] * self._dot(self._S[i], q)
+            q -= a * self._Y[i]
+            alphas.append(a)
+        q *= self._gamma
+        for i, a in zip(newest_first[::-1], alphas[::-1]):
+            q += (a - self._rho[i] * self._dot(self._Y[i], q)) * self._S[i]
+        return q
+
+    def _quasi_newton_step(self, X: np.ndarray, F: float, D: np.ndarray,
+                           slope: float, plateau: float):
+        """The unit step along D, evaluated with its gradient so that an
+        accepted step costs one evaluation, else its Armijo backtrack; as
+        _armijo returns.  None if D is not a descent direction (slope =
+        <R, D> >= 0) or the backtrack reaches plateau."""
+        if not slope < 0:
+            return None
+        trial = self._apply_step(X, D, 1.0)
+        F_t, R_t = self._evaluate(trial)
+        if F_t <= F + _ARMIJO_C * slope:
+            return 1.0, trial, F_t, R_t
+        return self._armijo(X, F, D, slope, 0.5, plateau)
+
+    def _armijo(self, X: np.ndarray, F: float, D: np.ndarray, slope: float,
+                alpha: float, plateau: float):
+        """Backtrack from alpha along D, whose directional derivative is
+        slope, to an Armijo decrease: (alpha, trial) and _evaluate(trial),
+        or None once the predicted decrease alpha * |slope| is below
+        plateau."""
+        while alpha * -slope > plateau:
+            trial = self._apply_step(X, D, alpha)
+            if self.aug_value(trial) <= F + _ARMIJO_C * alpha * slope:
+                return (alpha, trial, *self._evaluate(trial))
+            alpha *= 0.5
+        return None
+
+    def _gradient_step(self, X: np.ndarray, F: float, R: np.ndarray,
+                       norm_sq: float, plateau: float):
+        """Steepest-descent step: Armijo from twice the last accepted step,
+        then, when objective differences are below float resolution, the
+        first of 8 halvings of that step that still shrinks the gradient."""
+        step = self._armijo(X, F, -R, -norm_sq, min(max(self.step * 2.0, 1e-16), 1e8),
+                            plateau)
+        if step is not None:
+            self.step = step[0]
+            return step
+        alpha = self.step
+        for _ in range(8):
+            trial = self._apply_step(X, -R, alpha)
+            F_t, R_t = self._evaluate(trial)
+            if self._dot(R_t, R_t) <= 0.995 * norm_sq:
+                return alpha, trial, F_t, R_t
+            alpha *= 0.5
+        return None
+
     def inner_minimize(self):
+        """L-BFGS on the augmented objective in the curve metric; a step the
+        quasi-Newton direction cannot make clears the memory and falls back
+        to a steepest-descent step."""
         cfg = self.cfg
         X = self.X
-        F, grad = self.aug_value_and_grad(X)
+        F, R = self._evaluate(X)
+        self._forget()
         eps = float(np.finfo(float).eps)
         for _ in range(cfg.inner_max_steps):
             if F <= _OBJECTIVE_FLOOR:
                 raise UnboundedError(
                     "unbounded below at this discretization", snapshot=X.copy()
                 )
-            d0, dV, norm_sq = self._metric_direction(grad)
+            norm_sq = self._dot(R, R)
             if np.sqrt(norm_sq) <= cfg.inner_tol:
                 break
             # below this scale an Armijo decrease is not representable in
             # doubles; accepting such steps would poison the step carryover
             plateau = 16.0 * eps * (1.0 + abs(F))
-            alpha = min(max(self.step * 2.0, 1e-16), 1e8)
-            trial = None
-            accepted = False
-            while alpha * norm_sq > plateau:
-                trial = self._apply_step(X, d0, dV, alpha)
-                if self.aug_value(trial) <= F - _ARMIJO_C * alpha * norm_sq:
-                    accepted = True
-                    break
-                alpha *= 0.5
-            if accepted:
-                X = trial
-                self.step = alpha
-                F, grad = self.aug_value_and_grad(X)
-                continue
-            # objective differences are below float resolution; continue
-            # while the curvature-adapted step still shrinks the gradient
-            advanced = False
-            alpha = self.step
-            for _ in range(8):
-                trial = self._apply_step(X, d0, dV, alpha)
-                F_t, grad_t = self.aug_value_and_grad(trial)
-                _, _, ns_t = self._metric_direction(grad_t)
-                if ns_t <= 0.995 * norm_sq:
-                    X, F, grad = trial, F_t, grad_t
-                    advanced = True
-                    break
-                alpha *= 0.5
-            if not advanced:
-                break  # true stationarity floor for this arithmetic
+            D = self._lbfgs_direction(R)
+            step = self._quasi_newton_step(X, F, D, self._dot(R, D), plateau)
+            if step is None:
+                self._forget()
+                D = -R
+                step = self._gradient_step(X, F, R, norm_sq, plateau)
+                if step is None:
+                    break  # true stationarity floor for this arithmetic
+            alpha, X, F, R_new = step
+            self._remember(D, alpha, R_new, R)
+            R = R_new
         self.X = self.point = X
 
     def update_duals(self):
@@ -269,8 +352,8 @@ class _AlmState:
         the current iterate; stationarity is the metric norm of the
         plain-Lagrangian gradient at (X, mu, s)."""
         vdef, edef = pb.feasibility_residual(self.P, Trajectory(self.grid, self.X))
-        _, _, norm_sq = self._metric_direction(self._lagrangian_gradient(self.s))
-        return self.value(self.X), vdef, edef, float(np.sqrt(norm_sq))
+        R = self._riesz(self._lagrangian_gradient(self.s))
+        return self.value(self.X), vdef, edef, float(np.sqrt(self._dot(R, R)))
 
 
 def _default_init(P: pb.ProblemSpec, grid: Grid) -> np.ndarray:

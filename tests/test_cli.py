@@ -181,6 +181,37 @@ def test_verify_wrong_horizon_exits_two(workdir):
     assert main(["verify", "p1.json", "long.json"]) == 2
 
 
+@pytest.mark.parametrize("version", [True, 1.0], ids=["boolean", "float"])
+def test_solve_inexact_version_exits_two(workdir, version):
+    payload = jsonio.problem_to_json(get_case("p1").problem)
+    payload["version"] = version
+    (workdir / "bad.json").write_text(json.dumps(payload), encoding="utf-8")
+    assert main(["solve", "bad.json"]) == 2
+
+
+@pytest.mark.parametrize("kind", ["trajectory", "mu", "multipliers"])
+def test_verify_boolean_n_exits_two(workdir, kind):
+    # n = true used to pass as 1 (True == 1) on one-column rows
+    _write_case(workdir / "p1.json", "p1")
+    grid = Grid(1.0, 40)
+    mu = CellPath(grid, np.zeros((40, 1)))
+    payloads = {
+        "trajectory": jsonio.trajectory_to_json(
+            Trajectory(grid, grid.nodes()[:, None])),
+        "mu": jsonio.cellpath_to_json(mu),
+        "multipliers": jsonio.multipliers_to_json(mu, [0.0], [0.0]),
+    }
+    payloads[kind]["n"] = True
+    for name, payload in payloads.items():
+        jsonio.atomic_write_json(f"{name}.json", payload)
+    args = {
+        "trajectory": [],
+        "mu": ["--mu", "mu.json", "--s1", "0", "--s2", "0"],
+        "multipliers": ["--multipliers", "multipliers.json"],
+    }[kind]
+    assert main(["verify", "p1.json", "trajectory.json", *args]) == 2
+
+
 def test_verify_report_contains_tagged_lines(workdir, capsys):
     _write_case(workdir / "p2.json", "p2")
     assert main(["solve", "p2.json", "--grid", "100"]) == 0

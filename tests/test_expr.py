@@ -250,3 +250,52 @@ def test_domain_tests_decided_at_compile_time(text, x1, value):
     else:
         assert test is None  # a nonzero divisor or an integral exponent
         assert ex.eval_expr(e, {"x1": x1}) == value
+
+
+def _families(P):
+    """The six compiled programs of a problem, with their variable profile."""
+    return [(P._theta, ex.PROFILE_RUNNING), (P._theta_grad, ex.PROFILE_RUNNING),
+            (P._g, ex.PROFILE_DRIFT), (P._g_jac, ex.PROFILE_DRIFT),
+            (P._phi, ex.PROFILE_TERMINAL), (P._phi_grad, ex.PROFILE_TERMINAL)]
+
+
+def _without_frees(program):
+    return program._replace(steps=tuple(
+        (out, fn, a, b, (), test, node)
+        for out, fn, a, b, _, test, node in program.steps))
+
+
+def test_released_slots_leave_outputs_bitwise_equal():
+    from bolzakit.catalog import all_cases
+    from bolzakit.problem import ProblemSpec
+    from bolzakit.convex import Reals
+
+    rng = np.random.default_rng(3)
+    problems = [case.problem for case in all_cases()]
+    problems.append(ProblemSpec(
+        n=2, T=1.0, phi=random_expr(rng, ex.PROFILE_TERMINAL, 2, depth=4),
+        theta=random_expr(rng, ex.PROFILE_RUNNING, 2, depth=5),
+        g=[random_expr(rng, ex.PROFILE_DRIFT, 2, depth=4) for _ in range(2)],
+        omega1=Reals(2), omega2=Reals(4),
+    ))
+    for P in problems:
+        for program, profile in _families(P):
+            env = {name: rng.uniform(-1.5, 1.5, size=50)
+                   for name in ex.legal_variables(profile, P.n)}
+            kept = ex.run_program(_without_frees(program), env)
+            for got, want in zip(ex.run_program(program, env), kept):
+                assert np.array_equal(got, want)
+                assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def test_each_intermediate_slot_is_released_by_its_last_reader():
+    e = ex.parse("exp(x1*x2) + sin(x1*x2)*x2", 2, ex.PROFILE_RUNNING)
+    program = ex.compile_program([ex.diff(e, "x1"), e])
+    last_reader = {}
+    for i, (_, _, a, b, *_) in enumerate(program.steps):
+        last_reader[a] = last_reader[b] = i
+    released = [slot for step in program.steps for slot in step[4]]
+    computed = {step[0] for step in program.steps} - set(program.outputs)
+    assert sorted(released) == sorted(computed)  # each once, no output
+    for i, step in enumerate(program.steps):
+        assert all(last_reader[slot] == i for slot in step[4])

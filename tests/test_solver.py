@@ -138,6 +138,86 @@ def test_exact_targets_stay_at_solver_noise_under_refinement():
 
 
 # ---------------------------------------------------------------------------
+# inner loop: L-BFGS in the curve metric
+
+
+def _state(P, N, **cfg):
+    grid = Grid(P.T, N)
+    return sv._AlmState(
+        P, sv.SolverConfig(grid_N=N, **cfg), grid,
+        lambda X: pb.cost(P, grid, X), lambda X: pb.cost_gradient(P, grid, X),
+        sv._default_init(P, grid),
+    )
+
+
+def _count_calls(monkeypatch, name):
+    calls = []
+    original = getattr(sv._AlmState, name)
+
+    def counted(self, *args):
+        result = original(self, *args)
+        calls.append((self, args, result))
+        return result
+
+    monkeypatch.setattr(sv._AlmState, name, counted)
+    return calls
+
+
+def test_gradient_evaluations_do_not_depend_on_grid(monkeypatch):
+    evals = _count_calls(monkeypatch, "aug_value_and_grad")
+    counts = []
+    for N in (200, 1000, 4000):
+        evals.clear()
+        assert sv.solve(_curved_problem(), sv.SolverConfig(grid_N=N)).converged
+        counts.append(len(evals))
+    assert max(counts) <= 1.15 * min(counts), counts
+    assert max(counts) <= 400, counts
+
+
+def test_lbfgs_direction_with_empty_memory_is_negative_gradient():
+    state = _state(_curved_problem(), 50)
+    R = np.random.default_rng(0).normal(size=(51, 1))
+    assert np.array_equal(state._lbfgs_direction(R), -R)
+
+
+def test_lbfgs_inverse_hessian_maps_newest_y_to_newest_s(monkeypatch):
+    # the BFGS secant condition H y = s for the newest stored pair
+    stored = _count_calls(monkeypatch, "_remember")
+    state = _state(_curved_problem(), 50, inner_max_steps=6)
+    state.inner_minimize()
+    assert len(stored) == 6 and state._pairs >= 2
+    newest = (state._head - 1) % sv._MEMORY
+    s, y = state._S[newest], state._Y[newest]
+    np.testing.assert_allclose(state._lbfgs_direction(-y), s, rtol=1e-9,
+                               atol=1e-12 * np.abs(s).max())
+
+
+def test_every_accepted_direction_descends(monkeypatch):
+    steps = _count_calls(monkeypatch, "_remember")
+    for P, N in ((_curved_problem(), 200), (get_case("p2").problem, 120)):
+        steps.clear()
+        assert sv.solve(P, sv.SolverConfig(grid_N=N)).converged
+        quasi_newton = 0
+        for state, (D, _, _, R), _ in steps:
+            assert state._dot(R, D) < 0.0
+            quasi_newton += not np.array_equal(D, -R)
+        assert quasi_newton >= len(steps) // 2
+
+
+def test_float_floor_exits_through_fallback(monkeypatch):
+    # an inner tolerance below double resolution: the loop stops when the
+    # steepest-descent fallback can neither decrease the objective nor
+    # shrink the gradient, long before its step budget
+    fallbacks = _count_calls(monkeypatch, "_gradient_step")
+    evals = _count_calls(monkeypatch, "aug_value_and_grad")
+    state = _state(_curved_problem(), 100, inner_tol=1e-15)
+    state.inner_minimize()
+    assert fallbacks and fallbacks[-1][2] is None
+    assert len(evals) < 1000
+    assert np.array_equal(state.X, state.point)
+
+
+# ---------------------------------------------------------------------------
 # feasibility restoration
 
 
