@@ -14,7 +14,8 @@ Subcommands:
   catalog            list or export the built-in benchmark problems
 
 Exit codes: 0 success (and verify verdict pass), 1 verify verdict fail,
-2 input parse/validation error, 3 solver nonconvergence.
+2 input parse/validation error (also an out-of-range flag value or an
+unwritable output path), 3 solver nonconvergence.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import math
 import os
 import sys
 
@@ -47,6 +49,29 @@ class _CliError(Exception):
     def __init__(self, message: str, code: int = EXIT_VALIDATION):
         super().__init__(message)
         self.code = code
+
+
+def _number(kind, minimum=0, *, inclusive=False):
+    """An argparse type: a finite ``kind`` above ``minimum``, or equal to it
+    when inclusive.  Argparse turns a rejected value into exit code 2."""
+
+    def parse(text: str):
+        value = kind(text)
+        if not (math.isfinite(value)
+                and (value >= minimum if inclusive else value > minimum)):
+            bound = f"{'>=' if inclusive else '>'} {minimum}"
+            raise argparse.ArgumentTypeError(
+                f"expected a finite number {bound}, got {text!r}")
+        return value
+
+    parse.__name__ = kind.__name__  # argparse names the type on a parse error
+    return parse
+
+
+_POSITIVE_INT = _number(int)
+_POSITIVE = _number(float)
+_SEED = _number(int, inclusive=True)
+_TOLERANCE = _number(float, inclusive=True)
 
 
 def _load_problem(path: str) -> pb.ProblemSpec:
@@ -386,23 +411,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mu", help="cell-path JSON with the multiplier density")
     p.add_argument("--s1", help="comma-separated endpoint multiplier at t=0")
     p.add_argument("--s2", help="comma-separated endpoint multiplier at t=T")
-    p.add_argument("--kappa", type=float, help="subregularity modulus for the bound")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--kappa", type=_POSITIVE,
+                   help="subregularity modulus for the bound")
+    p.add_argument("--seed", type=_SEED, default=0)
     p.add_argument("--report", help="certificate JSON output path")
-    p.add_argument("--tol-feasibility", type=float)
-    p.add_argument("--tol-el", type=float)
-    p.add_argument("--tol-wp", type=float)
-    p.add_argument("--tol-transversality", type=float)
-    p.add_argument("--tol-mu", type=float)
-    p.add_argument("--tol-support-zero", type=float)
+    p.add_argument("--tol-feasibility", type=_TOLERANCE)
+    p.add_argument("--tol-el", type=_TOLERANCE)
+    p.add_argument("--tol-wp", type=_TOLERANCE)
+    p.add_argument("--tol-transversality", type=_TOLERANCE)
+    p.add_argument("--tol-mu", type=_TOLERANCE)
+    p.add_argument("--tol-support-zero", type=_TOLERANCE)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("probe-cq", help="sample the subregularity modulus")
     p.add_argument("problem")
     p.add_argument("trajectory")
-    p.add_argument("--samples", type=int, default=50)
-    p.add_argument("--delta", type=float, default=0.1)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--samples", type=_POSITIVE_INT, default=50)
+    p.add_argument("--delta", type=_POSITIVE, default=0.1)
+    p.add_argument("--seed", type=_SEED, default=0)
     p.add_argument("--out")
     _add_solver_flags(p)
     p.set_defaults(func=_cmd_probe_cq)
@@ -410,9 +436,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check-derivatives", help="finite-difference checks")
     p.add_argument("problem")
     p.add_argument("trajectory")
-    p.add_argument("--directions", type=int, default=20)
-    p.add_argument("--eps", type=float, default=1e-5)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--directions", type=_POSITIVE_INT, default=20)
+    p.add_argument("--eps", type=_POSITIVE, default=1e-5)
+    p.add_argument("--seed", type=_SEED, default=0)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_check_derivatives)
 
@@ -437,6 +463,9 @@ def main(argv=None) -> int:
     except _CliError as err:
         print(f"error: {err}", file=sys.stderr)
         return err.code
+    except OSError as err:  # unreadable inputs are FormatErrors: an output
+        print(f"error: cannot write output: {err}", file=sys.stderr)
+        return EXIT_VALIDATION
 
 
 def entry():

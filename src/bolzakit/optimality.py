@@ -205,7 +205,7 @@ def reconstruct_adjoint(P: pb.ProblemSpec, x: Trajectory, mu: CellPath) -> Traje
     is endpoint_multipliers(L).  For reporting; certify reads L."""
     L = stationarity(P, x, mu)
     grid = x.grid
-    _, theta_v = P.theta_grad_cells(grid.cell_lefts(), x.values[:-1], x.velocities())
+    _, theta_v = P.theta_grad_cells(*pb._cells(grid, x.values))
     gx0, _ = P.phi_gradients(x.values[0], x.values[-1])
     p = np.empty((grid.N + 1, P.n))
     p[0] = gx0 - L[0]
@@ -355,9 +355,7 @@ def certify(
     xi = endpoint_multipliers(L)
     W, E = pb.constraint_image(P, grid, x.values)
     W = project(P.omega1, W)
-    theta_x, theta_v = P.theta_grad_cells(
-        grid.cell_lefts(), x.values[:-1], x.velocities()
-    )
+    theta_x, theta_v = P.theta_grad_cells(*pb._cells(grid, x.values))
     el_scale = 1.0 + float(
         np.linalg.norm(theta_x, axis=1).max(initial=0.0)
         + np.linalg.norm(theta_v, axis=1).max(initial=0.0)

@@ -163,8 +163,11 @@ def _check_grid(P: ProblemSpec, x: Trajectory):
 
 
 def _cells(grid: Grid, X: np.ndarray):
-    """Left-node times, left-node states and exact cell velocities (the
-    slice difference is np.diff without its per-call overhead)."""
+    """The cell quadrature points: left-node times, left-node states and
+    exact cell velocities (the slice difference is np.diff without its
+    per-call overhead).  Every cell evaluation of theta, g or their
+    derivatives, and every linearization, reads its points here; the node
+    scatters in cost_gradient and constraint_adjoint are their transpose."""
     return grid.cell_lefts(), X[:-1], (X[1:] - X[:-1]) / grid.h
 
 
@@ -205,7 +208,8 @@ def constraint_adjoint(
     of sum_k h <MU_k, w_k(X)> + <S, (x_0, x_N)> for cell values MU (N, n)
     and an endpoint vector S (2n,)."""
     n = P.n
-    G = P.g_jacobian_cells(grid.cell_lefts(), X[:-1])
+    t, XL, _ = _cells(grid, X)
+    G = P.g_jacobian_cells(t, XL)
     out = np.zeros_like(X)
     out[:-1] = grid.h * np.einsum("kij,ki->kj", G, MU) - MU
     out[1:] += MU
@@ -250,8 +254,9 @@ def apply_constraint_derivative(
     if not x.grid.compatible(u.grid) or u.n != x.n:
         raise ProblemError("direction must live on the trajectory's grid")
     grid = x.grid
-    G = P.g_jacobian_cells(grid.cell_lefts(), x.values[:-1])
-    W = u.velocities() + np.einsum("kij,kj->ki", G, u.values[:-1])
+    t, XL, _ = _cells(grid, x.values)
+    _, UL, U_v = _cells(grid, u.values)
+    W = U_v + np.einsum("kij,kj->ki", P.g_jacobian_cells(t, XL), UL)
     endpoints = np.concatenate([u.values[0], u.values[-1]])
     return ReducedImage(CellPath(grid, W), endpoints)
 

@@ -16,12 +16,15 @@ The inner loop is L-BFGS (Nocedal & Wright, Numerical Optimization, ch. 7)
 in (x(0), velocity) coordinates under the discrete L2 inner product
 <a, b> = a_0.b_0 + h sum_j a_j.b_j, the geometry natural to the curve
 space: there iteration counts do not depend on the grid, while in raw node
-coordinates the conditioning degrades like N^2 with grid refinement.  Each
-step tries the unit step first, with Armijo backtracking on the
-directional derivative.  When the quasi-Newton direction does not descend
-or its backtrack reaches float resolution, the memory is cleared and the
-step is a steepest-descent one in the same metric, with the last accepted
-step carried over and a gradient-shrink rescue at the float floor.
+coordinates the conditioning degrades like N^2 with grid refinement.  One
+line search serves every step: halvings from the unit step, tested by
+Armijo while the predicted decrease is above float resolution and by a
+shrinking gradient below it.  When the quasi-Newton direction fails, the
+memory is cleared and the step retried once along the negative gradient.
+
+The outer loop stops at a feasible iterate whose Lagrangian gradient is
+below the inner tolerance and whose multipliers lie in the normal cones
+(the complementarity residual of the dual update is below feas_tol).
 """
 
 from __future__ import annotations
@@ -64,12 +67,13 @@ class SolverConfig:
     def __post_init__(self):
         if self.grid_N < 1 or self.outer_iters < 1 or self.inner_max_steps < 1:
             raise ValueError("iteration counts must be positive")
-        if not (self.penalty_rho > 0 and self.penalty_growth >= 1.0):
-            raise ValueError("penalty parameters must be positive (growth >= 1)")
-        if not self.inner_tol > 0:
-            raise ValueError("inner tolerance must be positive")
-        if self.feas_tol < 1e-12:
-            raise ValueError("feasibility tolerance must be at least 1e-12")
+        if not (0 < self.penalty_rho < np.inf and 1.0 <= self.penalty_growth < np.inf):
+            raise ValueError(
+                "penalty parameters must be finite and positive (growth >= 1)")
+        if not 0 < self.inner_tol < np.inf:
+            raise ValueError("inner tolerance must be finite and positive")
+        if not 1e-12 <= self.feas_tol < np.inf:
+            raise ValueError("feasibility tolerance must be finite and at least 1e-12")
 
 
 @dataclass
@@ -137,7 +141,6 @@ class _AlmState:
         self.mu = np.zeros((grid.N, P.n))
         self.s = np.zeros(2 * P.n)
         self.rho = cfg.penalty_rho
-        self.step = 1.0
         # L-BFGS pairs (s, y) in the stacked coordinates of _riesz, as ring
         # buffers: the _pairs slots before _head, newest first
         self._S = np.empty((_MEMORY, grid.N + 1, P.n))
@@ -250,56 +253,40 @@ class _AlmState:
             q += (a - self._rho[i] * self._dot(self._Y[i], q)) * self._S[i]
         return q
 
-    def _quasi_newton_step(self, X: np.ndarray, F: float, D: np.ndarray,
-                           slope: float, plateau: float):
-        """The unit step along D, evaluated with its gradient so that an
-        accepted step costs one evaluation, else its Armijo backtrack; as
-        _armijo returns.  None if D is not a descent direction (slope =
-        <R, D> >= 0) or the backtrack reaches plateau."""
+    def _line_search(self, X: np.ndarray, F: float, R: np.ndarray,
+                     D: np.ndarray, plateau: float):
+        """Halve from the unit step along D to (alpha, trial, *_evaluate(trial))
+        or None.  The unit trial comes with its gradient, so an accepted unit
+        step costs one evaluation.  While the predicted decrease alpha |<R, D>|
+        exceeds plateau, a value-only Armijo test decides; below it values are
+        float noise, and the first of 8 trials that shrinks |R|^2 to 0.995 of
+        itself passes."""
+        slope = self._dot(R, D)
         if not slope < 0:
             return None
         trial = self._apply_step(X, D, 1.0)
         F_t, R_t = self._evaluate(trial)
         if F_t <= F + _ARMIJO_C * slope:
             return 1.0, trial, F_t, R_t
-        return self._armijo(X, F, D, slope, 0.5, plateau)
-
-    def _armijo(self, X: np.ndarray, F: float, D: np.ndarray, slope: float,
-                alpha: float, plateau: float):
-        """Backtrack from alpha along D, whose directional derivative is
-        slope, to an Armijo decrease: (alpha, trial) and _evaluate(trial),
-        or None once the predicted decrease alpha * |slope| is below
-        plateau."""
+        alpha = 0.5
         while alpha * -slope > plateau:
             trial = self._apply_step(X, D, alpha)
             if self.aug_value(trial) <= F + _ARMIJO_C * alpha * slope:
                 return (alpha, trial, *self._evaluate(trial))
             alpha *= 0.5
-        return None
-
-    def _gradient_step(self, X: np.ndarray, F: float, R: np.ndarray,
-                       norm_sq: float, plateau: float):
-        """Steepest-descent step: Armijo from twice the last accepted step,
-        then, when objective differences are below float resolution, the
-        first of 8 halvings of that step that still shrinks the gradient."""
-        step = self._armijo(X, F, -R, -norm_sq, min(max(self.step * 2.0, 1e-16), 1e8),
-                            plateau)
-        if step is not None:
-            self.step = step[0]
-            return step
-        alpha = self.step
+        target = 0.995 * self._dot(R, R)
         for _ in range(8):
-            trial = self._apply_step(X, -R, alpha)
+            trial = self._apply_step(X, D, alpha)
             F_t, R_t = self._evaluate(trial)
-            if self._dot(R_t, R_t) <= 0.995 * norm_sq:
+            if self._dot(R_t, R_t) <= target:
                 return alpha, trial, F_t, R_t
             alpha *= 0.5
         return None
 
     def inner_minimize(self):
-        """L-BFGS on the augmented objective in the curve metric; a step the
-        quasi-Newton direction cannot make clears the memory and falls back
-        to a steepest-descent step."""
+        """L-BFGS on the augmented objective in the curve metric.  A step
+        the quasi-Newton direction cannot make clears the memory and is
+        retried once along -R, the direction of an empty memory."""
         cfg = self.cfg
         X = self.X
         F, R = self._evaluate(X)
@@ -310,24 +297,30 @@ class _AlmState:
                 raise UnboundedError(
                     "unbounded below at this discretization", snapshot=X.copy()
                 )
-            norm_sq = self._dot(R, R)
-            if np.sqrt(norm_sq) <= cfg.inner_tol:
+            if np.sqrt(self._dot(R, R)) <= cfg.inner_tol:
                 break
             # below this scale an Armijo decrease is not representable in
-            # doubles; accepting such steps would poison the step carryover
+            # doubles
             plateau = 16.0 * eps * (1.0 + abs(F))
             D = self._lbfgs_direction(R)
-            step = self._quasi_newton_step(X, F, D, self._dot(R, D), plateau)
-            if step is None:
+            step = self._line_search(X, F, R, D, plateau)
+            if step is None and self._pairs:
                 self._forget()
                 D = -R
-                step = self._gradient_step(X, F, R, norm_sq, plateau)
-                if step is None:
-                    break  # true stationarity floor for this arithmetic
+                step = self._line_search(X, F, R, D, plateau)
+            if step is None:
+                break  # true stationarity floor for this arithmetic
             alpha, X, F, R_new = step
             self._remember(D, alpha, R_new, R)
             R = R_new
         self.X = self.point = X
+
+    def complementarity(self) -> float:
+        """h sum_k |dW_k| + |dE| of the shifted residuals at X: zero exactly
+        when the image is feasible and mu, s lie in its normal cones."""
+        dW, dE = self._shifted_residuals(self.X)
+        return (self.grid.h * float(np.linalg.norm(dW, axis=1).sum())
+                + float(np.linalg.norm(dE)))
 
     def update_duals(self):
         dW, dE = self._shifted_residuals(self.X)
@@ -392,7 +385,8 @@ def _run_alm(P: pb.ProblemSpec, cfg: SolverConfig, grid: Grid, value, grad,
                     "rho": state.rho,
                 }
             )
-            if vdef + edef <= cfg.feas_tol and stat <= cfg.inner_tol:
+            if (vdef + edef <= cfg.feas_tol and stat <= cfg.inner_tol
+                    and state.complementarity() <= cfg.feas_tol):
                 converged = True
                 break
             state.inner_minimize()

@@ -296,6 +296,40 @@ def test_check_derivatives_domain_error_exits_two(workdir, capsys):
     assert not os.path.exists("line.derivcheck.json")
 
 
+def _exit_code(argv):
+    try:
+        return main(argv)
+    except SystemExit as exc:  # argparse rejects a flag value
+        return exc.code
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "p2.json", "line.json", "--kappa", "-1"],
+    ["verify", "p2.json", "line.json", "--kappa", "0"],
+    ["verify", "p2.json", "line.json", "--kappa", "nan"],
+    ["verify", "p2.json", "line.json", "--seed", "-1"],
+    ["verify", "p2.json", "line.json", "--tol-el", "nan"],
+    ["probe-cq", "p2.json", "line.json", "--samples", "-3"],
+    ["check-derivatives", "p2.json", "line.json", "--eps", "0"],
+    ["check-derivatives", "p2.json", "line.json", "--directions", "0"],
+    ["solve", "p2.json", "--grid", "50", "--feas-tol", "nan"],
+    ["solve", "p2.json", "--grid", "50", "--rho", "inf"],
+    ["solve", "p2.json", "--grid", "50", "--inner-tol", "inf"],
+    ["verify", "p2.json", "line.json", "--report", "missing/line.json"],
+    ["probe-cq", "p2.json", "line.json", "--samples", "2", "--grid", "50",
+     "--out", "missing/line.json"],
+    ["solve", "p2.json", "--grid", "50", "--out-dir", "p2.json"],
+], ids=["kappa-negative", "kappa-zero", "kappa-nan", "seed-negative",
+        "tolerance-nan", "samples-negative", "eps-zero", "directions-zero",
+        "feas-tol-nan", "rho-inf", "inner-tol-inf", "report-missing-dir",
+        "out-missing-dir", "out-dir-is-a-file"])
+def test_bad_number_or_unwritable_output_exits_two(workdir, capsys, argv):
+    _write_case(workdir / "p2.json", "p2")
+    _write_line(workdir / "line.json", N=50)
+    assert _exit_code(argv) == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_norms_command_values_and_inequalities(workdir, capsys):
     _write_line(workdir / "line.json", N=80)
     code = main(["norms", "line.json"])

@@ -7,8 +7,9 @@ import bolzakit.problem as pb
 import bolzakit.solver as sv
 from bolzakit import expr as ex
 from bolzakit.catalog import get_case
-from bolzakit.convex import Reals, Singleton, normal_cone_residual, project
+from bolzakit.convex import Box, Reals, Singleton, normal_cone_residual, project
 from bolzakit.funspace import Grid, Trajectory
+from bolzakit.optimality import certify
 
 from oracles import fit_order
 
@@ -94,6 +95,27 @@ def test_dual_feasibility_at_convergence():
             case.problem.omega2, z, s / (1.0 + np.linalg.norm(s))
         )
         assert float(s_res) <= 1e-4
+
+
+@pytest.mark.parametrize("N", [20, 50, 200])
+def test_stop_waits_for_multipliers_in_the_normal_cones(N):
+    # min int v^2/2 + x(T)^2/2 with x(0) >= 0.25: the optimum pins x(0) at
+    # its bound, with x' = -0.125.  A stop test on feasibility and
+    # stationarity alone accepts x(0) = 0.262 inside the box after one outer
+    # iteration, with an endpoint multiplier that is not a normal there.
+    P = pb.ProblemSpec(
+        n=1,
+        T=1.0,
+        phi=ex.parse("xT_1^2/2", 1, ex.PROFILE_TERMINAL),
+        theta=ex.parse("v1^2/2", 1, ex.PROFILE_RUNNING),
+        g=[ex.parse("0", 1, ex.PROFILE_DRIFT)],
+        omega1=Box([-0.5], [0.5]),
+        omega2=Box([0.25, -1.0], [1.25, 1.0]),
+    )
+    r = sv.solve(P, sv.SolverConfig(grid_N=N))
+    assert r.converged
+    assert abs(r.x.values[0, 0] - 0.25) <= 1e-6
+    assert certify(P, r.x, r.mu, r.s1, r.s2).passed
 
 
 def test_determinism_bitwise():
@@ -204,15 +226,16 @@ def test_every_accepted_direction_descends(monkeypatch):
         assert quasi_newton >= len(steps) // 2
 
 
-def test_float_floor_exits_through_fallback(monkeypatch):
+def test_float_floor_ends_inner_loop(monkeypatch):
     # an inner tolerance below double resolution: the loop stops when the
-    # steepest-descent fallback can neither decrease the objective nor
-    # shrink the gradient, long before its step budget
-    fallbacks = _count_calls(monkeypatch, "_gradient_step")
+    # line search along -R can neither decrease the objective nor shrink
+    # the gradient, long before its step budget
+    searches = _count_calls(monkeypatch, "_line_search")
     evals = _count_calls(monkeypatch, "aug_value_and_grad")
     state = _state(_curved_problem(), 100, inner_tol=1e-15)
     state.inner_minimize()
-    assert fallbacks and fallbacks[-1][2] is None
+    _, (_, _, R, D, _), last = searches[-1]
+    assert last is None and np.array_equal(D, -R)
     assert len(evals) < 1000
     assert np.array_equal(state.X, state.point)
 
