@@ -144,13 +144,13 @@ def _cmd_solve(args) -> int:
     P = _load_problem(args.problem)
     cfg = _solver_config(args)
     warm = _load_trajectory(args.warm_start) if args.warm_start else None
+    out_dir = args.out_dir
+    os.makedirs(out_dir, exist_ok=True)  # a bad --out-dir fails before solving
     try:
         result = solve(P, cfg, warm_start=warm)
     except SolverError as err:
         raise _CliError(f"solver failed: {err}", code=EXIT_NONCONVERGED) from err
     prefix = args.prefix or _stem(args.problem)
-    out_dir = args.out_dir
-    os.makedirs(out_dir, exist_ok=True)
     traj_path = os.path.join(out_dir, f"{prefix}.trajectory.json")
     mult_path = os.path.join(out_dir, f"{prefix}.multipliers.json")
     hist_path = os.path.join(out_dir, f"{prefix}.history.csv")

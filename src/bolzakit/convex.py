@@ -478,45 +478,42 @@ def contains(S: ConvexSet, y, tol: float = FEASIBILITY_TOL) -> bool:
 # support functions
 
 
-def support(S: ConvexSet, xi, zero_tol: float = 0.0) -> float:
+def support(S: ConvexSet, xi, zero_tol: float = 0.0) -> float | np.ndarray:
     """Support value sup{<xi, w> : w in S}; +inf when the supremum is
     unattained along a recession direction.
 
-    ``zero_tol`` treats components of xi within tolerance of zero as zero
-    before testing unbounded directions, which lets callers with noisy
-    inputs query sets such as the whole space without spurious infinities.
+    Accepts a single vector (returns a float) or a (B, dim) batch of row
+    vectors (returns B values).  ``zero_tol`` treats components of xi
+    within tolerance of zero as zero before testing unbounded directions,
+    which lets callers with noisy inputs query sets such as the whole
+    space without spurious infinities.
     """
-    x = _vec(xi, S.dim, "support direction")
+    X, single = _rows(xi, S.dim)
+    out = _support_rows(S, X, zero_tol)
+    return float(out[0]) if single else out
+
+
+def _support_rows(S: ConvexSet, X: np.ndarray, zero_tol: float) -> np.ndarray:
     if isinstance(S, Reals):
-        return 0.0 if np.linalg.norm(x) <= zero_tol else math.inf
+        return np.where(_norms(X) <= zero_tol, 0.0, np.inf)
     if isinstance(S, Box):
-        total = 0.0
-        for xi_i, lo, hi in zip(x, S.lower, S.upper):
-            if abs(xi_i) <= zero_tol:
-                continue
-            bound = hi if xi_i > 0 else lo
-            if not math.isfinite(bound):
-                return math.inf
-            total += xi_i * bound
-        return float(total)
+        # zeroed components pick a 0 bound, so 0 * inf never occurs
+        live = np.abs(X) > zero_tol
+        bound = np.where(live, np.where(X > 0, S.upper, S.lower), 0.0)
+        return (X * bound).sum(axis=1)
     if isinstance(S, Ball):
-        return float(S.center @ x + S.radius * np.linalg.norm(x))
+        return X @ S.center + S.radius * _norms(X)
     if isinstance(S, Singleton):
-        return float(S.point @ x)
+        return X @ S.point
     if isinstance(S, Polyhedron):
-        return _polyhedron_support(S, x, zero_tol)
+        return _polyhedron_support(S, X, zero_tol)
     if isinstance(S, Product):
-        total = 0.0
-        for f, block in zip(S.factors, S._split(x)):
-            val = support(f, block, zero_tol=zero_tol)
-            if math.isinf(val):
-                return math.inf
-            total += val
-        return float(total)
+        return sum(_support_rows(f, block, zero_tol)
+                   for f, block in zip(S.factors, S._split(X)))
     raise ConvexSetError(f"unknown set form {type(S).__name__}")
 
 
-def _polyhedron_support(S: Polyhedron, xi: np.ndarray, zero_tol: float) -> float:
+def _polyhedron_support(S: Polyhedron, X: np.ndarray, zero_tol: float) -> np.ndarray:
     if S.dim > SUPPORT_MAX_DIM or S.A.shape[0] > SUPPORT_MAX_FACETS:
         raise SupportScaleError(
             "enumeration scale exceeded: polyhedral support is computed "
@@ -525,19 +522,14 @@ def _polyhedron_support(S: Polyhedron, xi: np.ndarray, zero_tol: float) -> float
             f"{S.A.shape[0]} facets)"
         )
     basis, vertices, rays = _enumerate(S)
+    red = X @ basis
+    scale = max(zero_tol, 1e-10) * np.maximum(1.0, _norms(red))
+    unbounded = (red @ rays.T > scale[:, None]).any(axis=1)
     # lineality directions (null space of A) recede both ways
     if basis.shape[1] < S.dim:
-        residual = xi - basis @ (basis.T @ xi)
-        if np.linalg.norm(residual) > max(zero_tol, 1e-12 * (1 + np.linalg.norm(xi))):
-            return math.inf
-    xi_red = basis.T @ xi
-    xi_scale = max(1.0, float(np.linalg.norm(xi_red)))
-    for r in rays:
-        if float(r @ xi_red) > max(zero_tol, 1e-10) * xi_scale:
-            return math.inf
-    if vertices.shape[0] == 0:  # reduced cone with apex only
-        return 0.0
-    return float((vertices @ xi_red).max())
+        residual = _norms(X - red @ basis.T)
+        unbounded |= residual > np.maximum(zero_tol, 1e-12 * (1 + _norms(X)))
+    return np.where(unbounded, np.inf, (red @ vertices.T).max(axis=1))
 
 
 def _enumerate(S: Polyhedron):
@@ -552,10 +544,9 @@ def _enumerate(S: Polyhedron):
     A, b = S.A, S.b
     dim = S.dim
     if A.shape[0] == 0:
-        basis = np.zeros((dim, 0))
-        result = (basis, np.zeros((0, 0)), np.zeros((0, 0)))
-        S._enumeration = result
-        return result
+        # the whole space: its reduced frame is a point, the one vertex
+        S._enumeration = (np.zeros((dim, 0)), np.zeros((1, 0)), np.zeros((0, 0)))
+        return S._enumeration
     # orthonormal basis of row space; its complement is the lineality space
     _, sing, vt = np.linalg.svd(A)
     rank = int((sing > 1e-10 * sing[0]).sum())

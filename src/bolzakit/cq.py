@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import problem as pb
-from .funspace import Trajectory, ac_norm
+from .funspace import Trajectory, ac_norm, random_trajectory
 from .solver import SolverConfig, restore_feasibility
 
 
@@ -81,8 +81,7 @@ def probe_kappa(
     excluded = 0
     dropped = 0
     for _ in range(samples):
-        direction = rng.standard_normal((grid.N + 1, P.n))
-        d = Trajectory(grid, direction)
+        d = random_trajectory(grid, P.n, rng)
         norm = ac_norm(d)
         if norm < 1e-14:
             excluded += 1

@@ -144,6 +144,21 @@ def ac_norm(x: Trajectory) -> float:
     )
 
 
+def tail_sums(G: np.ndarray) -> np.ndarray:
+    """Row k is sum_{m >= k} G_m.  For a node gradient G this is the same
+    functional in (x(0), cell velocity) coordinates: under the node
+    pairing, <G, u> = <R_0, u(0)> + h sum_j <R_{j+1}, u'_j> with R =
+    tail_sums(G)."""
+    return np.cumsum(G[::-1], axis=0)[::-1]
+
+
+def ac_dual_norm(G: np.ndarray) -> float:
+    """Dual of ac_norm under the node pairing <G, u> = sum_k <G_k, u_k>:
+    the largest row norm of tail_sums(G).  A unit step u_m = e for m >= k,
+    at the row k where it is attained, reaches it."""
+    return float(_row_norms(tail_sums(G)).max())
+
+
 def one_one_norm(x: Trajectory) -> float:
     """Integral of ||x|| (trapezoid on node norms) plus integral of ||x'||."""
     h = x.grid.h

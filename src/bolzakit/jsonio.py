@@ -310,16 +310,20 @@ def dumps(obj) -> str:
 
 
 def atomic_write_text(path: str, text: str):
+    """Write text to path through a temporary file beside it; an OSError
+    names path, not the temporary file."""
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
             handle.write(text)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except OSError as err:
+        raise OSError(err.errno, err.strerror, path) from err
+    finally:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
-        raise
 
 
 def atomic_write_json(path: str, obj):

@@ -35,7 +35,7 @@ import numpy as np
 
 from . import problem as pb
 from .convex import ConvexSetError, project, project_normal_cone
-from .funspace import CellPath, Grid, Trajectory, ac_norm
+from .funspace import CellPath, Grid, Trajectory, ac_norm, tail_sums
 
 
 class SolverError(RuntimeError):
@@ -141,7 +141,7 @@ class _AlmState:
         self.mu = np.zeros((grid.N, P.n))
         self.s = np.zeros(2 * P.n)
         self.rho = cfg.penalty_rho
-        # L-BFGS pairs (s, y) in the stacked coordinates of _riesz, as ring
+        # L-BFGS pairs (s, y) in the stacked coordinates of _evaluate, as ring
         # buffers: the _pairs slots before _head, newest first
         self._S = np.empty((_MEMORY, grid.N + 1, P.n))
         self._Y = np.empty_like(self._S)
@@ -191,20 +191,17 @@ class _AlmState:
 
     # -- descent in the curve metric ---------------------------------------
 
-    def _riesz(self, grad: np.ndarray) -> np.ndarray:
-        """Gradient in (x(0), cell velocity) coordinates, stacked as one
-        (N + 1, n) array, for the metric <a, b> = a_0.b_0 + h sum_j a_j.b_j:
-        row 0 is sum_k grad_k and row j + 1 the tail sum_{m > j} grad_m.
-        In this metric gradient norms do not depend on the grid."""
-        return np.cumsum(grad[::-1], axis=0)[::-1]
-
     def _evaluate(self, X: np.ndarray) -> tuple[float, np.ndarray]:
-        """Augmented value and its gradient in the curve metric at X."""
+        """Augmented value and its gradient in the curve metric at X: the
+        tail sums of the node gradient are its (x(0), cell velocity)
+        coordinates, stacked as one (N + 1, n) array, for the metric
+        <a, b> = a_0.b_0 + h sum_j a_j.b_j, in which gradient norms do not
+        depend on the grid."""
         F, grad = self.aug_value_and_grad(X)
-        return F, self._riesz(grad)
+        return F, tail_sums(grad)
 
     def _dot(self, a: np.ndarray, b: np.ndarray) -> float:
-        """Curve-metric inner product of two arrays stacked as by _riesz."""
+        """Curve-metric inner product of two arrays stacked as by _evaluate."""
         return float(a[0] @ b[0]) + self.grid.h * float(
             np.einsum("ki,ki->", a[1:], b[1:]))
 
@@ -345,7 +342,7 @@ class _AlmState:
         the current iterate; stationarity is the metric norm of the
         plain-Lagrangian gradient at (X, mu, s)."""
         vdef, edef = pb.feasibility_residual(self.P, Trajectory(self.grid, self.X))
-        R = self._riesz(self._lagrangian_gradient(self.s))
+        R = tail_sums(self._lagrangian_gradient(self.s))
         return self.value(self.X), vdef, edef, float(np.sqrt(self._dot(R, R)))
 
 

@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+import bolzakit.cli as cli
 import bolzakit.jsonio as jsonio
 from bolzakit.catalog import get_case
 from bolzakit.cli import main
@@ -323,11 +324,21 @@ def _exit_code(argv):
         "tolerance-nan", "samples-negative", "eps-zero", "directions-zero",
         "feas-tol-nan", "rho-inf", "inner-tol-inf", "report-missing-dir",
         "out-missing-dir", "out-dir-is-a-file"])
-def test_bad_number_or_unwritable_output_exits_two(workdir, capsys, argv):
+def test_bad_number_or_unwritable_output_exits_two(workdir, capsys, monkeypatch, argv):
+    def never(*args, **kwargs):
+        raise AssertionError("solve ran although its inputs were already known bad")
+
+    monkeypatch.setattr(cli, "solve", never)
     _write_case(workdir / "p2.json", "p2")
     _write_line(workdir / "line.json", N=50)
     assert _exit_code(argv) == 2
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error:" in err
+    # an unwritable output is reported under the path given, not a temporary
+    assert ".part" not in err
+    for path in argv:
+        if path.startswith("missing/"):
+            assert path in err
 
 
 def test_norms_command_values_and_inequalities(workdir, capsys):

@@ -184,22 +184,43 @@ def test_contains_tolerance():
 # support
 
 
+def _stacked(S, directions, **kwargs):
+    """Support values of the directions queried as one (B, dim) batch,
+    checked against one single-vector query per direction."""
+    batch = cx.support(S, np.array(directions, dtype=float), **kwargs)
+    assert batch.shape == (len(directions),)
+    for value, xi in zip(batch, directions):
+        single = cx.support(S, xi, **kwargs)
+        assert value == single or abs(value - single) <= 1e-14 * (1 + abs(single))
+    return batch.tolist()
+
+
 def test_support_box_upper_bound_active():
     assert cx.support(cx.Box([-np.inf], [1.0]), [1.0]) == pytest.approx(1.0)
+    assert _stacked(cx.Box([-np.inf], [1.0]), [[1.0], [-1.0], [0.0]]) == [
+        1.0, math.inf, 0.0]
 
 
 def test_support_box_unbounded_direction():
     assert cx.support(cx.Box([-np.inf], [1.0]), [-1.0]) == math.inf
+    S = cx.Box([-np.inf, 0.0], [1.0, np.inf])
+    assert _stacked(S, [[-1.0, 0.0], [1.0, -2.0], [1e-9, 1.0]], zero_tol=1e-6) == [
+        math.inf, 1.0, math.inf]
 
 
 def test_support_ball():
     assert cx.support(cx.Ball([0.0, 0.0], 2.0), [3.0, 4.0]) == pytest.approx(10.0)
+    assert _stacked(cx.Ball([1.0, 0.0], 2.0), [[3.0, 4.0], [0.0, 0.0]]) == pytest.approx(
+        [13.0, 0.0])
 
 
 def test_support_reals():
     assert cx.support(cx.Reals(3), [0.0, 0.0, 0.0]) == 0.0
     assert cx.support(cx.Reals(3), [0.0, 1e-12, 0.0]) == math.inf
     assert cx.support(cx.Reals(3), [0.0, 1e-12, 0.0], zero_tol=1e-9) == 0.0
+    rows = [[0.0, 0.0, 0.0], [0.0, 1e-12, 0.0], [1.0, 0.0, 0.0]]
+    assert _stacked(cx.Reals(3), rows) == [0.0, math.inf, math.inf]
+    assert _stacked(cx.Reals(3), rows, zero_tol=1e-9) == [0.0, 0.0, math.inf]
 
 
 def test_support_simplex_vertex_enumeration():
@@ -210,6 +231,8 @@ def test_support_simplex_vertex_enumeration():
     assert cx.support(S, [2.0, 5.0]) == pytest.approx(5.0)
     assert cx.support(S, [2.0, -1.0]) == pytest.approx(2.0)
     assert cx.support(S, [-1.0, -1.0]) == pytest.approx(0.0)
+    assert _stacked(S, [[2.0, 5.0], [2.0, -1.0], [-1.0, -1.0]]) == pytest.approx(
+        [5.0, 2.0, 0.0])
 
 
 def test_support_polyhedron_with_recession_ray():
@@ -217,6 +240,7 @@ def test_support_polyhedron_with_recession_ray():
     S = cx.Polyhedron([[-1.0]], [0.0])
     assert cx.support(S, [1.0]) == math.inf
     assert cx.support(S, [-2.0]) == pytest.approx(0.0)
+    assert _stacked(S, [[1.0], [-2.0], [0.0]]) == [math.inf, 0.0, 0.0]
 
 
 def test_support_polyhedron_with_lineality():
@@ -224,6 +248,8 @@ def test_support_polyhedron_with_lineality():
     S = cx.Polyhedron([[1.0, 0.0], [-1.0, 0.0]], [1.0, 1.0])
     assert cx.support(S, [1.0, 0.0]) == pytest.approx(1.0)
     assert cx.support(S, [0.0, 1.0]) == math.inf
+    assert _stacked(S, [[1.0, 0.0], [0.0, 1.0], [-2.0, 1e-9]], zero_tol=1e-6) == (
+        pytest.approx([1.0, math.inf, 2.0]))
 
 
 def test_support_scale_cap():
@@ -232,6 +258,8 @@ def test_support_scale_cap():
     A = np.vstack([np.eye(2)] * 17)  # 34 facets
     with pytest.raises(cx.SupportScaleError):
         cx.support(cx.Polyhedron(A, np.ones(34)), [1.0, 1.0])
+    with pytest.raises(cx.SupportScaleError):
+        cx.support(cx.Polyhedron(A, np.ones(34)), np.ones((3, 2)))
 
 
 def test_support_product_sums_factors():
@@ -239,6 +267,9 @@ def test_support_product_sums_factors():
     assert cx.support(S, [1.0, 1.0]) == pytest.approx(1.0 + 2.0)
     S2 = cx.Product([cx.Reals(1), cx.Box([0.0], [1.0])])
     assert cx.support(S2, [1.0, 1.0]) == math.inf
+    assert _stacked(S, [[1.0, 1.0], [-1.0, 0.0]]) == pytest.approx([3.0, 0.0])
+    assert _stacked(S2, [[1.0, 1.0], [0.0, 1.0], [0.0, -1.0]]) == [
+        math.inf, 1.0, 0.0]
 
 
 # ---------------------------------------------------------------------------

@@ -85,6 +85,27 @@ def test_norms_homogeneous_and_triangle():
             assert norm(x + y) <= norm(x) + norm(y) + 1e-9
 
 
+def test_ac_dual_norm_is_the_dual_of_ac_norm():
+    # |<G, u>| <= ac_dual_norm(G) * ac_norm(u), with equality for the unit
+    # step that starts at the row of the largest tail sum
+    rng = np.random.default_rng(5)
+    for N, T in ((1, 1.0), (17, 2.5), (60, 0.4)):
+        grid = fs.Grid(T, N)
+        for _ in range(40):
+            G = rng.standard_normal((N + 1, 2))
+            dual = fs.ac_dual_norm(G)
+            u = fs.random_trajectory(grid, 2, rng)
+            pairing = float(np.einsum("ki,ki->", G, u.values))
+            assert abs(pairing) <= dual * fs.ac_norm(u) * (1 + 1e-12)
+            R = fs.tail_sums(G)
+            k = int(np.linalg.norm(R, axis=1).argmax())
+            step = np.zeros((N + 1, 2))
+            step[k:] = R[k] / np.linalg.norm(R[k])
+            u = fs.Trajectory(grid, step)
+            assert fs.ac_norm(u) == pytest.approx(1.0, rel=1e-12)
+            assert float(np.einsum("ki,ki->", G, step)) == pytest.approx(dual, rel=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # reconstruction
 

@@ -8,7 +8,9 @@ import bolzakit.problem as pb
 import bolzakit.solver as sv
 from bolzakit import expr as ex
 from bolzakit.catalog import get_case
-from bolzakit.convex import Box, Product, Reals, Singleton, normal_cone_residual, project
+from bolzakit.convex import (
+    Box, Product, Reals, Singleton, normal_cone_residual, project, support,
+)
 from bolzakit.funspace import CellPath, Grid, Trajectory
 
 
@@ -292,6 +294,23 @@ def test_certify_bound_check_uses_kappa_and_ell():
     )
     assert rep2.ell == 3.0 and rep2.ell_provenance == "declared"
     assert rep2.kappa_ell_bound == pytest.approx(6.0)
+
+
+def test_certify_makes_one_support_call(monkeypatch):
+    # the WP check reads every cell through one batched support query
+    calls = []
+
+    def counted(S, xi, zero_tol=0.0):
+        calls.append(np.shape(xi))
+        return support(S, xi, zero_tol=zero_tol)
+
+    monkeypatch.setattr(opt, "support", counted)
+    case = get_case("p2")
+    grid = Grid(1.0, 50)
+    rep = opt.certify(case.problem, case.x_star(grid), case.mu_star(grid),
+                      case.s1_star, case.s2_star, kappa=2.0)
+    assert rep.passed
+    assert calls == [(50, 1)]  # every cell of mu_star is live
 
 
 def test_certify_infeasible_candidate_fails_cleanly():

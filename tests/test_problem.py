@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 import bolzakit.problem as pb
+import bolzakit.solver as sv
 from bolzakit import expr as ex
 from bolzakit.catalog import get_case
 from bolzakit.convex import Box, Product, Reals, Singleton
-from bolzakit.funspace import Grid, Trajectory, ac_norm, random_trajectory
+from bolzakit.funspace import Grid, Trajectory, ac_dual_norm, ac_norm, random_trajectory
 
 from oracles import fit_order, random_expr
 
@@ -142,6 +143,44 @@ def test_gateaux_bounded_by_estimated_lipschitz():
         u = random_trajectory(grid, 1, rng)
         bound = est.value * ac_norm(u)
         assert abs(pb.gateaux_J(case.problem, x, u)) <= bound + 1e-9
+
+
+def _box_problem():
+    """The benchmark's smooth box instance at its nominal parameters: three
+    states with rotational drift, velocities in [-1, 1]^3, x(0) pinned."""
+    return _make(
+        n=3,
+        theta="((v1-1.5)^2+(v2-(-1.2))^2+(v3-0.8)^2)/2+(x1^2+x2^2+x3^2)/2",
+        g=("x2", "x3-x1", "x1-x2"),
+        omega1=Box([-1.0] * 3, [1.0] * 3),
+        omega2=Product([Singleton([0.0] * 3), Reals(3)]),
+    )
+
+
+@pytest.mark.parametrize("which", ["p1", "p2", "box"])
+def test_estimate_covers_the_gradient_slope_at_the_candidate(which):
+    # the slope of J_h at x is the ac-dual norm of its node gradient; the
+    # estimate keeps its 1.5x margin over the slope at the candidate itself
+    if which == "box":
+        P = _box_problem()
+        x = sv.solve(P, sv.SolverConfig(grid_N=20)).x
+    else:
+        P = get_case(which).problem
+        x = get_case(which).x_star(Grid(P.T, 20))
+    est = pb.estimate_lipschitz(P, x)
+    assert est.provenance == "estimated"
+    assert est.value >= 1.5 * ac_dual_norm(pb.cost_gradient(P, x.grid, x.values))
+
+
+def test_estimate_lipschitz_evaluates_no_cost(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the estimate must read the cost gradient only")
+
+    monkeypatch.setattr(pb, "cost", forbidden)
+    monkeypatch.setattr(pb, "evaluate_cost", forbidden)
+    case = get_case("p2")
+    est = pb.estimate_lipschitz(case.problem, case.x_star(Grid(1.0, 20)))
+    assert est.value > 0 and est.provenance == "estimated"
 
 
 # ---------------------------------------------------------------------------
