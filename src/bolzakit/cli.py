@@ -258,13 +258,14 @@ def _cmd_probe_cq(args) -> int:
     P = _load_problem(args.problem)
     x = _load_trajectory(args.trajectory)
     cfg = _solver_config(args)
+    out_path = args.out or f"{_stem(args.trajectory)}.cqprobe.json"
+    jsonio.check_writable(out_path)  # a bad --out fails before probing
     try:
         result = cqmod.probe_kappa(
             P, x, samples=args.samples, delta=args.delta, seed=args.seed, cfg=cfg
         )
     except (ValueError, SolverError) as err:
         raise _CliError(f"probe failed: {err}") from err
-    out_path = args.out or f"{_stem(args.trajectory)}.cqprobe.json"
     jsonio.atomic_write_json(out_path, result.to_dict())
     if result.kappa_hat is None:
         print(

@@ -27,6 +27,8 @@ import math
 
 import numpy as np
 
+from .funspace import row_norms
+
 FEASIBILITY_TOL = 1e-7
 PROJECTION_TOL = 1e-12
 PROJECTION_MAX_ITER = 1000
@@ -158,8 +160,7 @@ class Polyhedron:
         if not (np.all(np.isfinite(self.A)) and np.all(np.isfinite(self.b))):
             raise ConvexSetError("polyhedron data must be finite")
         self.dim = self.A.shape[1]
-        row_norms = np.linalg.norm(self.A, axis=1)
-        trivial = row_norms <= 0.0
+        trivial = row_norms(self.A) <= 0.0
         if np.any(trivial & (self.b < 0.0)):
             raise EmptySetError("polyhedron has an unsatisfiable zero row")
         # drop 0 <= b rows; they carry no geometry
@@ -219,7 +220,7 @@ class _ActiveSets:
     """
 
     def __init__(self, A: np.ndarray, b: np.ndarray):
-        norms = np.linalg.norm(A, axis=1)
+        norms = row_norms(A)
         self.N = A / norms[:, None]
         self.d = b / norms
         self.N.setflags(write=False)
@@ -296,17 +297,13 @@ def _groups(codes: np.ndarray, live: np.ndarray):
     return [(int(ordered[a]), live[order[a:b]]) for a, b in zip(cuts, cuts[1:])]
 
 
-def _norms(X: np.ndarray) -> np.ndarray:
-    return np.sqrt(np.einsum("ij,ij->i", X, X))
-
-
 def _kkt_residual(C: _ActiveSets, y, p, nu) -> np.ndarray:
     """KKT residual of each row p, with multiplier column nu, as the
     projection of row y: primal feasibility, nu >= 0, tight facets where
     nu > 0, and y - p = N^T nu."""
     slack = C.N @ p.T - C.d_col
     facets = np.maximum(np.where(nu > 0.0, np.abs(slack), slack), -nu)
-    return np.maximum(facets.max(axis=0), _norms(y - p - nu.T @ C.N))
+    return np.maximum(facets.max(axis=0), row_norms(y - p - nu.T @ C.N))
 
 
 def _worst(residual: np.ndarray, tol: np.ndarray) -> float:
@@ -316,7 +313,7 @@ def _worst(residual: np.ndarray, tol: np.ndarray) -> float:
 
 def _project_polyhedron(S: "Polyhedron", Y: np.ndarray,
                         max_iter: int = PROJECTION_MAX_ITER,
-                        prove_empty: bool = False) -> np.ndarray:
+                        prove_empty: bool = False, active: bool = False):
     """Project each row of Y onto {y : Ay <= b} by the dual active-set
     method of Goldfarb and Idnani (Math. Prog. 27, 1983).
 
@@ -337,17 +334,22 @@ def _project_polyhedron(S: "Polyhedron", Y: np.ndarray,
     ProjectionError, carrying the worst scaled KKT residual, is raised
     when it does not, when ``max_iter`` steps do not finish, or when the
     dual is unbounded (EmptySetError instead with ``prove_empty``).
+
+    With ``active`` the result is (projections, ids): ids holds each row's
+    final active-set id in ``S._active`` (0, the empty set, for rows that
+    were inside).
     """
     C = S._active
     m = C.N.shape[0]
     # slacks and multipliers hold one column per row of Y, so reductions
     # over facets run along axis 0
-    y_norm = _norms(Y)
+    y_norm = row_norms(Y)
     slack = C.N @ Y.T - C.d_col
     outside = slack.max(axis=0, initial=-np.inf) > PROJECTION_TOL * (1.0 + 2.0 * y_norm)
     rows = outside.nonzero()[0]
+    ids = np.zeros(Y.shape[0], dtype=np.int64)
     if not rows.size:
-        return Y.copy()
+        return (Y.copy(), ids) if active else Y.copy()
     y = Y
     if rows.size < Y.shape[0]:
         y, y_norm, slack = Y[rows], y_norm[rows], slack[:, rows]
@@ -396,7 +398,7 @@ def _project_polyhedron(S: "Polyhedron", Y: np.ndarray,
             kid[g] = k_full
             nu[:, g], p[g] = C.polish(k_full, y[g])
             gaps = C.N @ p[g].T - cut  # -inf on the facets of k_full
-            tol[g] = PROJECTION_TOL * (1.0 + y_norm[g] + _norms(p[g]))
+            tol[g] = PROJECTION_TOL * (1.0 + y_norm[g] + row_norms(p[g]))
             enter[g] = np.where(gaps.max(axis=0) <= tol[g], -1, gaps.argmax(axis=0))
         live = (enter >= 0).nonzero()[0]
         if not live.size:
@@ -416,11 +418,13 @@ def _project_polyhedron(S: "Polyhedron", Y: np.ndarray,
             f"{worst:.3e} > {PROJECTION_TOL:.0e})",
             worst,
         )
+    ids[rows] = kid
     if rows.size == Y.shape[0]:
-        return p
-    out = Y.copy()
-    out[rows] = p
-    return out
+        out = p
+    else:
+        out = Y.copy()
+        out[rows] = p
+    return (out, ids) if active else out
 
 
 # ---------------------------------------------------------------------------
@@ -445,7 +449,7 @@ def _project_rows(S: ConvexSet, Y: np.ndarray) -> np.ndarray:
         return np.clip(Y, S.lower, S.upper)
     if isinstance(S, Ball):
         delta = Y - S.center
-        dist = np.linalg.norm(delta, axis=1)
+        dist = row_norms(delta)
         scale = np.ones_like(dist)
         outside = dist > S.radius
         scale[outside] = S.radius / dist[outside]
@@ -460,13 +464,59 @@ def _project_rows(S: ConvexSet, Y: np.ndarray) -> np.ndarray:
     raise ConvexSetError(f"unknown set form {type(S).__name__}")
 
 
+def residual_jacobian(S: ConvexSet, Y: np.ndarray) -> np.ndarray:
+    """An element of the generalized Jacobian of y - project(S, y) at each
+    row of the (B, dim) batch Y, shape (B, dim, dim).  Half the squared
+    distance to S has gradient y - project(S, y), so this is its
+    generalized Hessian (Clarke; exact away from kinks): zero for the whole
+    space, the identity for a point, the mask of clipped components for a
+    box, the radial scaling outside a ball, and for a polyhedron the
+    projector Q Q^T onto the span of the row's final active normals."""
+    B, dim = Y.shape
+    if isinstance(S, Product):
+        out = np.zeros((B, dim, dim))
+        offset = 0
+        for f, block in zip(S.factors, S._split(Y)):
+            out[:, offset : offset + f.dim, offset : offset + f.dim] = (
+                residual_jacobian(f, block))
+            offset += f.dim
+        return out
+    if isinstance(S, Reals):
+        return np.zeros((B, dim, dim))
+    if isinstance(S, Singleton):
+        return np.broadcast_to(np.eye(dim), (B, dim, dim)).copy()
+    if isinstance(S, Box):
+        clipped = (Y < S.lower) | (Y > S.upper)
+        out = np.zeros((B, dim, dim))
+        out[:, np.arange(dim), np.arange(dim)] = clipped
+        return out
+    if isinstance(S, Ball):
+        delta = Y - S.center
+        dist = row_norms(delta)
+        out = np.zeros((B, dim, dim))
+        outside = dist > S.radius
+        u = delta[outside] / dist[outside, None]
+        scale = (S.radius / dist[outside])[:, None, None]
+        out[outside] = (1.0 - scale) * np.eye(dim) + scale * (
+            u[:, :, None] * u[:, None, :])
+        return out
+    if isinstance(S, Polyhedron):
+        _, ids = _project_polyhedron(S, Y, active=True)
+        out = np.zeros((B, dim, dim))
+        for k in set(ids.tolist()) - {0}:  # (np.unique would import numpy.ma)
+            Q = S._active.solve(k)[0]
+            out[ids == k] = Q @ Q.T
+        return out
+    raise ConvexSetError(f"unknown set form {type(S).__name__}")
+
+
 def distance(S: ConvexSet, y) -> float | np.ndarray:
     """Euclidean distance ||y - project(S, y)||; zero iff y in S."""
     Y, single = _rows(y, S.dim)
     if isinstance(S, Reals):
         d = np.zeros(Y.shape[0])
     else:
-        d = np.linalg.norm(Y - _project_rows(S, Y), axis=1)
+        d = row_norms(Y - _project_rows(S, Y))
     return float(d[0]) if single else d
 
 
@@ -495,14 +545,14 @@ def support(S: ConvexSet, xi, zero_tol: float = 0.0) -> float | np.ndarray:
 
 def _support_rows(S: ConvexSet, X: np.ndarray, zero_tol: float) -> np.ndarray:
     if isinstance(S, Reals):
-        return np.where(_norms(X) <= zero_tol, 0.0, np.inf)
+        return np.where(row_norms(X) <= zero_tol, 0.0, np.inf)
     if isinstance(S, Box):
         # zeroed components pick a 0 bound, so 0 * inf never occurs
         live = np.abs(X) > zero_tol
         bound = np.where(live, np.where(X > 0, S.upper, S.lower), 0.0)
         return (X * bound).sum(axis=1)
     if isinstance(S, Ball):
-        return X @ S.center + S.radius * _norms(X)
+        return X @ S.center + S.radius * row_norms(X)
     if isinstance(S, Singleton):
         return X @ S.point
     if isinstance(S, Polyhedron):
@@ -523,12 +573,12 @@ def _polyhedron_support(S: Polyhedron, X: np.ndarray, zero_tol: float) -> np.nda
         )
     basis, vertices, rays = _enumerate(S)
     red = X @ basis
-    scale = max(zero_tol, 1e-10) * np.maximum(1.0, _norms(red))
+    scale = max(zero_tol, 1e-10) * np.maximum(1.0, row_norms(red))
     unbounded = (red @ rays.T > scale[:, None]).any(axis=1)
     # lineality directions (null space of A) recede both ways
     if basis.shape[1] < S.dim:
-        residual = _norms(X - red @ basis.T)
-        unbounded |= residual > np.maximum(zero_tol, 1e-12 * (1 + _norms(X)))
+        residual = row_norms(X - red @ basis.T)
+        unbounded |= residual > np.maximum(zero_tol, 1e-12 * (1 + row_norms(X)))
     return np.where(unbounded, np.inf, (red @ vertices.T).max(axis=1))
 
 
@@ -571,7 +621,7 @@ def _enumerate(S: Polyhedron):
             "the description is numerically degenerate"
         )
 
-    row_scale = 1.0 + np.linalg.norm(B, axis=1)
+    row_scale = 1.0 + row_norms(B)
     rays = []
     if d == 1:
         for cand in (np.array([1.0]), np.array([-1.0])):
@@ -630,7 +680,7 @@ def normal_cone_residual(
             f"normal-cone query at an infeasible point: distance {worst:.3e} "
             f"exceeds tolerance {feas_tol:.1e}"
         )
-    res = np.linalg.norm(_project_rows(S, X + XI) - X, axis=1)
+    res = row_norms(_project_rows(S, X + XI) - X)
     return float(res[0]) if (single and single_xi) else res
 
 

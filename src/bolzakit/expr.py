@@ -380,6 +380,9 @@ def compile_program(trees) -> Program:
         return index[key]
 
     outputs = tuple(visit(e) for e in trees)
+    # visit refers to itself through its closure: unbind it, so its tables
+    # are freed on return rather than left to the cyclic collector
+    visit = None
     # liveness: a computed slot that is not an output is released by its
     # last reader, so a run holds only the intermediates still ahead of it
     last_reader = {}

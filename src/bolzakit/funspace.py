@@ -132,15 +132,16 @@ class CellPath:
     __mul__ = __rmul__
 
 
-def _row_norms(arr: np.ndarray) -> np.ndarray:
-    return np.linalg.norm(arr, axis=1)
+def row_norms(arr: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of a 2-D array."""
+    return np.sqrt(np.einsum("ij,ij->i", arr, arr))
 
 
 def ac_norm(x: Trajectory) -> float:
     """||x(0)|| + integral of ||x'||; exact for piecewise-linear curves."""
     h = x.grid.h
     return float(
-        np.linalg.norm(x.values[0]) + h * _row_norms(x.velocities()).sum()
+        np.linalg.norm(x.values[0]) + h * row_norms(x.velocities()).sum()
     )
 
 
@@ -156,15 +157,15 @@ def ac_dual_norm(G: np.ndarray) -> float:
     """Dual of ac_norm under the node pairing <G, u> = sum_k <G_k, u_k>:
     the largest row norm of tail_sums(G).  A unit step u_m = e for m >= k,
     at the row k where it is attained, reaches it."""
-    return float(_row_norms(tail_sums(G)).max())
+    return float(row_norms(tail_sums(G)).max())
 
 
 def one_one_norm(x: Trajectory) -> float:
     """Integral of ||x|| (trapezoid on node norms) plus integral of ||x'||."""
     h = x.grid.h
-    node_norms = _row_norms(x.values)
+    node_norms = row_norms(x.values)
     state_term = h * (0.5 * (node_norms[:-1] + node_norms[1:])).sum()
-    velocity_term = h * _row_norms(x.velocities()).sum()
+    velocity_term = h * row_norms(x.velocities()).sum()
     return float(state_term + velocity_term)
 
 
@@ -213,8 +214,8 @@ def reconstruct_ac(
     nodes += a  # q_bar(0) = a
     qbar = Trajectory(grid, nodes)
     r_T = float(np.linalg.norm(nodes[-1] + b))
-    r_match = float(h * _row_norms(qbar.midpoint_values() - q.values).sum())
-    r_ode = float(_row_norms(qbar.velocities() - l.values).max())
+    r_match = float(h * row_norms(qbar.midpoint_values() - q.values).sum())
+    r_ode = float(row_norms(qbar.velocities() - l.values).max())
     return qbar, ReconstructionReport(r_T=r_T, r_match=r_match, r_ode=r_ode)
 
 

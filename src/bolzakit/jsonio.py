@@ -25,6 +25,7 @@ reproducible artifacts.
 
 from __future__ import annotations
 
+import errno
 import json
 import math
 import os
@@ -324,6 +325,20 @@ def atomic_write_text(path: str, text: str):
     finally:
         if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
+
+
+def check_writable(path: str):
+    """Raise OSError, naming path, unless a file can be created beside it:
+    lets a command refuse an unwritable output before its work."""
+    directory = os.path.dirname(os.path.abspath(path))
+    try:
+        if os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
+        os.close(fd)
+        os.unlink(tmp)
+    except OSError as err:
+        raise OSError(err.errno, err.strerror, path) from err
 
 
 def atomic_write_json(path: str, obj):

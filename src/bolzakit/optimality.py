@@ -46,7 +46,7 @@ from .convex import (
     project,
     support,
 )
-from .funspace import CellPath, Trajectory
+from .funspace import CellPath, Trajectory, row_norms
 
 # the default EL tolerance is EL_BASE * (1 + running-cost gradient scale)
 EL_BASE = 1e-3
@@ -216,7 +216,7 @@ def reconstruct_adjoint(P: pb.ProblemSpec, x: Trajectory, mu: CellPath) -> Traje
 def el_residual(L: np.ndarray) -> float:
     """L1 norm of the discrete adjoint-equation defect: the interior
     stationarity rows sum_{k=1}^{N-1} |L_k|."""
-    return float(np.linalg.norm(L[1:-1], axis=1).sum())
+    return float(row_norms(L[1:-1]).sum())
 
 
 def weierstrass_gap(
@@ -232,7 +232,7 @@ def weierstrass_gap(
     ``support_zero_tol`` has gap 0, and a cell with unbounded support
     reports an infinite gap.
     """
-    live = np.linalg.norm(mu, axis=1) > support_zero_tol
+    live = row_norms(mu) > support_zero_tol
     gaps = np.zeros(len(mu))
     if live.any():
         C = mu[live]
@@ -351,8 +351,8 @@ def certify(
     W = project(P.omega1, W)
     theta_x, theta_v = P.theta_grad_cells(*pb._cells(grid, x.values))
     el_scale = 1.0 + float(
-        np.linalg.norm(theta_x, axis=1).max(initial=0.0)
-        + np.linalg.norm(theta_v, axis=1).max(initial=0.0)
+        row_norms(theta_x).max(initial=0.0)
+        + row_norms(theta_v).max(initial=0.0)
     )
     el_tol = tol.el if tol.el is not None else EL_BASE * el_scale
 
@@ -382,7 +382,7 @@ def certify(
         np.linalg.norm(xi[: P.n] - s1) + np.linalg.norm(xi[P.n :] - s2)
     )
 
-    mu_sup = float(np.linalg.norm(mu.values, axis=1).max(initial=0.0))
+    mu_sup = float(row_norms(mu.values).max(initial=0.0))
     s_norm = float(np.linalg.norm(np.concatenate([s1, s2])))
     lam = max(mu_sup, s_norm)
 

@@ -10,6 +10,9 @@ the feasibility defects.  The cost, its gradient, the image and the
 adjoint are each one kernel on node arrays (cost, cost_gradient,
 constraint_image, constraint_adjoint); the solver calls them directly
 and the Trajectory functions call them after checking their arguments.
+Beside them, add_cost_hessian and add_constraint_hessian assemble the
+second derivatives, per cell in (x_k, v_k), in place into the
+block-tridiagonal node matrix of the solver's Newton step.
 
 Quadrature convention: cell integrands are evaluated at the left node in
 (t, x) with the exact cell velocity, i.e. a rectangle rule that is
@@ -25,7 +28,7 @@ import numpy as np
 
 from . import expr as ex
 from .convex import ConvexSet, distance
-from .funspace import CellPath, Grid, Trajectory, ac_dual_norm, ac_norm
+from .funspace import CellPath, Grid, Trajectory, ac_dual_norm, ac_norm, row_norms
 
 
 class ProblemError(ValueError):
@@ -84,6 +87,7 @@ class ProblemSpec:
         self._theta = ex.compile_program([self.theta])
         self._g = ex.compile_program(self.g)
         self._phi = ex.compile_program([self.phi])
+        self._hessians = None  # see _hessian_programs
 
     def _check_profile(self, e: ex.Expr, profile: str, what: str):
         legal = ex.legal_variables(profile, self.n)
@@ -95,17 +99,26 @@ class ProblemSpec:
 
     # ---- vectorized expression evaluation over cells -------------------
 
-    def _run(self, program: ex.Program, rows: int, t, **blocks) -> np.ndarray:
+    def _run(self, program: ex.Program, rows: int, t, index=None,
+             **blocks) -> np.ndarray:
         """Outputs of a program as the columns of a (rows, k) array, with
         t and the columns of each block bound to their names (x=X binds
-        x1.., x0_=x0 binds x0_1..); t is None for the terminal cost."""
+        x1.., x0_=x0 binds x0_1..); t is None for the terminal cost.  An
+        integer array ``index`` places output index[i] at out[:, i] of a
+        (rows, *index.shape) array instead, with one row, which broadcasts
+        over the cells, when all those outputs are constants."""
         env = {"t": t}
         for prefix, block in blocks.items():
             for i in range(self.n):
                 env[f"{prefix}{i + 1}"] = block[..., i]
-        out = np.empty((rows, len(program.outputs)))
-        for j, value in enumerate(ex.run_program(program, env)):
-            out[:, j] = value
+        values = ex.run_program(program, env)
+        if index is None:
+            index = np.arange(len(values))
+        elif all(np.ndim(values[j]) == 0 for j in index.flat):
+            rows = 1
+        out = np.empty((rows, *index.shape))
+        for pos in np.ndindex(index.shape):
+            out[(slice(None), *pos)] = values[index[pos]]
         return out
 
     def theta_cells(self, t, X, V) -> np.ndarray:
@@ -120,8 +133,10 @@ class ProblemSpec:
 
     def g_jacobian_cells(self, t, X) -> np.ndarray:
         """Drift Jacobians per cell, shape (cells, n, n) with [k, i, j] =
-        d g_i / d x_j."""
-        return self._run(self._g_jac, len(t), t, x=X).reshape(-1, self.n, self.n)
+        d g_i / d x_j, or (1, n, n) when constant (an affine drift)."""
+        n = self.n
+        index = np.arange(n * n).reshape(n, n)
+        return self._run(self._g_jac, len(t), t, index=index, x=X)
 
     def phi_value(self, x0, xT) -> float:
         return float(self._run(self._phi, 1, None, x0_=x0, xT_=xT)[0, 0])
@@ -129,6 +144,65 @@ class ProblemSpec:
     def phi_gradients(self, x0, xT) -> tuple[np.ndarray, np.ndarray]:
         out = self._run(self._phi_grad, 1, None, x0_=x0, xT_=xT)[0]
         return out[: self.n], out[self.n :]
+
+    # ---- second derivatives, compiled on first use ---------------------
+
+    def _hessian_programs(self):
+        """Index matrices and programs of the distinct second derivatives:
+        the upper triangles of theta's in (x, v) and phi's in (x0, xT),
+        n(2n + 1) entries each, and of the x-Hessian of sum_i m_i g_i for
+        weights bound to m1..mn.  An index matrix maps a pair of variables
+        to its output.  Compiled on first use and kept on the instance:
+        only the solver's Newton step reads them."""
+        if self._hessians is None:
+            n = self.n
+            xs = [f"x{i}" for i in range(1, n + 1)]
+            vs = [f"v{i}" for i in range(1, n + 1)]
+            ends = [f"{e}_{i}" for e in ("x0", "xT") for i in range(1, n + 1)]
+            weighted = ex.Const(0.0)
+            for i, gi in enumerate(self.g):
+                weighted = ex.Binary(
+                    "add", weighted, ex.Binary("mul", ex.Var(f"m{i + 1}"), gi))
+            self._hessians = (
+                _second_derivatives(self.theta, xs + vs),
+                _second_derivatives(self.phi, ends),
+                _second_derivatives(weighted, xs),
+            )
+        return self._hessians
+
+    def theta_hessian_cells(self, t, X, V):
+        """(theta_xx, theta_xv, theta_vv) per cell, each (cells, n, n), or
+        (1, n, n) when all of them are constant; xv has x rows and v
+        columns."""
+        n = self.n
+        index, program = self._hessian_programs()[0]
+        blocks = np.stack([index[:n, :n], index[:n, n:], index[n:, n:]])
+        out = self._run(program, len(t), t, index=blocks, x=X, v=V)
+        return out[:, 0], out[:, 1], out[:, 2]
+
+    def phi_hessian(self, x0, xT) -> np.ndarray:
+        """Hessian of phi in (x0, xT), shape (2n, 2n)."""
+        index, program = self._hessian_programs()[1]
+        return self._run(program, 1, None, index=index, x0_=x0, xT_=xT)[0]
+
+    def g_hessian_cells(self, t, X, M) -> np.ndarray:
+        """sum_i M_i d^2 g_i / dx^2 per cell for weights M (cells, n), shape
+        (cells, n, n), or (1, n, n) when constant (an affine drift)."""
+        index, program = self._hessian_programs()[2]
+        return self._run(program, len(t), t, index=index, x=X, m=M)
+
+
+def _second_derivatives(e: ex.Expr, names: list) -> tuple[np.ndarray, ex.Program]:
+    """(index, program): the program computes the upper triangle of the
+    Hessian of e in the named variables, and index[a, b] is the output of
+    the pair (a, b)."""
+    d = len(names)
+    pairs = [(a, b) for a in range(d) for b in range(a, d)]
+    index = np.empty((d, d), dtype=np.intp)
+    for j, (a, b) in enumerate(pairs):
+        index[a, b] = index[b, a] = j
+    first = [ex.diff(e, name) for name in names]
+    return index, ex.compile_program([ex.diff(first[a], names[b]) for a, b in pairs])
 
 
 @dataclass(frozen=True)
@@ -143,7 +217,7 @@ class ReducedImage:
 def reduced_image_norm(img: ReducedImage) -> float:
     """L1 norm of the velocity part plus the Euclidean endpoint norm."""
     h = img.velocity_part.grid.h
-    vel = float(h * np.linalg.norm(img.velocity_part.values, axis=1).sum())
+    vel = float(h * row_norms(img.velocity_part.values).sum())
     return vel + float(np.linalg.norm(img.endpoints))
 
 
@@ -211,11 +285,80 @@ def constraint_adjoint(
     t, XL, _ = _cells(grid, X)
     G = P.g_jacobian_cells(t, XL)
     out = np.zeros_like(X)
-    out[:-1] = grid.h * np.einsum("kij,ki->kj", G, MU) - MU
+    out[:-1] = grid.h * np.einsum("...ij,...i->...j", G, MU) - MU
     out[1:] += MU
     out[0] += S[:n]
     out[-1] += S[n:]
     return out
+
+
+def node_blocks(grid: Grid, n: int):
+    """A zero block-tridiagonal matrix on the nodes, to be filled in place
+    by add_cell_form: (diagonal, upper, corner) with blocks stored last,
+    diagonal[:, :, k] at node k (n, n, N + 1), upper[:, :, k] coupling
+    node k to node k + 1 (n, n, N), and the corner (n, n) coupling x_0 to
+    x_N."""
+    return (np.zeros((n, n, grid.N + 1)), np.zeros((n, n, grid.N)),
+            np.zeros((n, n)))
+
+
+def add_cell_form(blocks, grid: Grid, xx=None, xv=None, vv=None, ends=None):
+    """Add to node blocks, in place, the Hessian of sum_k h q_k + e:
+    q_k a quadratic form in (x_k, v_k) with (N, n, n) stacks xx, xv
+    (x rows, v columns) and vv, each optional and (1, n, n) for the same
+    block in every cell, and e a form with (2n, 2n) matrix ``ends`` in the
+    endpoint pair (x_0, x_N).  With v_k = (x_{k+1} - x_k) / h a cell adds
+    h xx - (xv + xv^T) + vv/h to node k, vv/h to node k + 1 and xv - vv/h
+    between them.  Each part is folded in as it comes, so a caller can
+    free it before building the next."""
+    diag, upper, corner = blocks
+    h = grid.h
+    if vv is not None:
+        part = vv.transpose(1, 2, 0) / h
+        diag[..., :-1] += part
+        diag[..., 1:] += part
+        upper -= part
+    if xv is not None:
+        part = xv.transpose(1, 2, 0)
+        diag[..., :-1] -= part
+        diag[..., :-1] -= part.transpose(1, 0, 2)
+        upper += part
+    if xx is not None:
+        diag[..., :-1] += h * xx.transpose(1, 2, 0)
+    if ends is not None:
+        n = corner.shape[0]
+        diag[..., 0] += ends[:n, :n]
+        diag[..., -1] += ends[n:, n:]
+        corner += ends[:n, n:]
+
+
+def add_cost_hessian(blocks, P: ProblemSpec, grid: Grid, X: np.ndarray):
+    """Add the Hessian of J_h at X to node blocks: theta's second
+    derivatives per cell and phi's in the endpoint pair."""
+    t, XL, V = _cells(grid, X)
+    xx, xv, vv = P.theta_hessian_cells(t, XL, V)
+    add_cell_form(blocks, grid, xx, xv, vv, P.phi_hessian(X[0], X[-1]))
+
+
+def add_constraint_hessian(
+    blocks, P: ProblemSpec, grid: Grid, X: np.ndarray, MU: np.ndarray,
+    JW: np.ndarray, JE: np.ndarray,
+):
+    """Add to node blocks the Hessian at X of sum_k h psi_k(w_k(X)) +
+    psi_E((x_0, x_N)) for cell functions psi_k with gradients MU (N, n)
+    and Hessians JW (N, n, n) at w_k(X), and an endpoint function with
+    Hessian JE (2n, 2n).  The linearization dw_k = dv_k + g_x dx_k gives
+    the Gauss-Newton part; the drift's curvature weighted by MU gives the
+    rest.  constraint_adjoint with the same MU is its gradient."""
+    t, XL, _ = _cells(grid, X)
+    G = P.g_jacobian_cells(t, XL)
+    add_cell_form(blocks, grid, vv=JW, ends=JE)
+    JG = JW @ G
+    add_cell_form(blocks, grid, xv=JG.transpose(0, 2, 1))  # G^T JW
+    xx = G.transpose(0, 2, 1) @ JG
+    del JG
+    xx += P.g_hessian_cells(t, XL, MU)
+    add_cell_form(blocks, grid, xx=xx)
 
 
 # ---- Trajectory interface ------------------------------------------------
@@ -256,7 +399,7 @@ def apply_constraint_derivative(
     grid = x.grid
     t, XL, _ = _cells(grid, x.values)
     _, UL, U_v = _cells(grid, u.values)
-    W = U_v + np.einsum("kij,kj->ki", P.g_jacobian_cells(t, XL), UL)
+    W = U_v + np.einsum("...ij,...j->...i", P.g_jacobian_cells(t, XL), UL)
     endpoints = np.concatenate([u.values[0], u.values[-1]])
     return ReducedImage(CellPath(grid, W), endpoints)
 

@@ -12,15 +12,20 @@ multipliers are kept as densities (the dual pairing is sum_k h <mu_k, w_k>),
 so mu_k approximates a multiplier function value rather than an h-scaled
 impulse.
 
-The inner loop is L-BFGS (Nocedal & Wright, Numerical Optimization, ch. 7)
-in (x(0), velocity) coordinates under the discrete L2 inner product
-<a, b> = a_0.b_0 + h sum_j a_j.b_j, the geometry natural to the curve
-space: there iteration counts do not depend on the grid, while in raw node
-coordinates the conditioning degrades like N^2 with grid refinement.  One
-line search serves every step: halvings from the unit step, tested by
-Armijo while the predicted decrease is above float resolution and by a
-shrinking gradient below it.  When the quasi-Newton direction fails, the
-memory is cleared and the step retried once along the negative gradient.
+The inner loop is semismooth Newton, the inner step of SSNAL (Li, Sun &
+Toh, SIAM J. Optim. 28, 2018), in node coordinates.  Each step solves
+(H + tau M) D = -G for the node gradient G of the augmented objective:
+H is its generalized Hessian (the cost's second derivatives, the drift's
+weighted by the shifted multipliers, and I - dproj of each set for the
+penalty), M is the curve metric <a, b> = a_0.b_0 + h sum_j a'_j.b'_j in
+node coordinates.  Both are block tridiagonal with n x n blocks (plus a
+corner block when the endpoint data couple x(0) and x(T)), and blocktri
+solves the system by cyclic reduction.  The shift tau starts at 0 and
+grows only when a pivot is not positive; as it grows, D tends to the
+curve-metric gradient step, in which gradient norms and iteration counts
+do not depend on the grid.  One line search serves every step: halvings
+from the unit step, tested by Armijo while the predicted decrease is
+above float resolution and by a shrinking gradient below it.
 
 The outer loop stops at a feasible iterate whose Lagrangian gradient is
 below the inner tolerance and whose multipliers lie in the normal cones
@@ -33,9 +38,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import blocktri
 from . import problem as pb
-from .convex import ConvexSetError, project, project_normal_cone
-from .funspace import CellPath, Grid, Trajectory, ac_norm, tail_sums
+from .convex import ConvexSetError, project, project_normal_cone, residual_jacobian
+from .funspace import CellPath, Grid, Trajectory, ac_norm, row_norms, tail_sums
 
 
 class SolverError(RuntimeError):
@@ -50,8 +56,6 @@ class UnboundedError(SolverError):
 
 _OBJECTIVE_FLOOR = -1e12
 _ARMIJO_C = 1e-4
-_MEMORY = 8  # L-BFGS pairs kept within one inner minimization
-_CURVATURE_SKIP = 1e-12  # a pair with s.y <= this * |s| |y| is not stored
 
 
 @dataclass(frozen=True)
@@ -99,8 +103,10 @@ class RestoreResult:
 
 def _restore_objective(x_ref: Trajectory):
     """Half squared deviation from a reference curve, measured on the
-    initial value and the cell velocities: (value, node gradient)."""
-    h = x_ref.grid.h
+    initial value and the cell velocities: (value, node gradient, Hessian).
+    The Hessian is constant: the curve metric."""
+    grid = x_ref.grid
+    h = grid.h
     x0_ref = x_ref.values[0]
     v_ref = x_ref.velocities()
 
@@ -117,7 +123,19 @@ def _restore_objective(x_ref: Trajectory):
         out[0] += X[0] - x0_ref
         return out
 
-    return value, grad
+    def hess(blocks, X: np.ndarray):
+        _add_curve_metric(blocks, grid, 1.0)
+
+    return value, grad, hess
+
+
+def _add_curve_metric(blocks, grid: Grid, weight: float):
+    """Add weight times the curve metric <a, b> = a_0.b_0 + h sum_j
+    a'_j.b'_j to node blocks."""
+    n = blocks[2].shape[0]
+    ends = np.zeros((2 * n, 2 * n))
+    ends[:n, :n] = weight * np.eye(n)
+    pb.add_cell_form(blocks, grid, vv=weight * np.eye(n)[None], ends=ends)
 
 
 # ---------------------------------------------------------------------------
@@ -126,28 +144,23 @@ def _restore_objective(x_ref: Trajectory):
 
 class _AlmState:
     """ALM iterate for min value(X) subject to the problem's constraints;
-    ``value`` and ``grad`` are the objective and its node gradient."""
+    ``value`` and ``grad`` are the objective and its node gradient, and
+    ``hess(blocks, X)`` adds its Hessian to node blocks."""
 
     def __init__(self, P: pb.ProblemSpec, cfg: SolverConfig, grid: Grid,
-                 value, grad, X0: np.ndarray):
+                 value, grad, hess, X0: np.ndarray):
         self.P = P
         self.cfg = cfg
         self.grid = grid
         self.value = value
         self.grad = grad
+        self.hess = hess
         self.X = X0.copy()
         # the node array under evaluation: the snapshot of a domain error
         self.point = self.X
         self.mu = np.zeros((grid.N, P.n))
         self.s = np.zeros(2 * P.n)
         self.rho = cfg.penalty_rho
-        # L-BFGS pairs (s, y) in the stacked coordinates of _evaluate, as ring
-        # buffers: the _pairs slots before _head, newest first
-        self._S = np.empty((_MEMORY, grid.N + 1, P.n))
-        self._Y = np.empty_like(self._S)
-        self._rho = np.empty(_MEMORY)
-        self._head = 0
-        self._forget()
 
     # -- augmented objective ----------------------------------------------
 
@@ -184,139 +197,125 @@ class _AlmState:
         )
         return base + pen, grad
 
+    def _aug_hessian(self, X: np.ndarray):
+        """Generalized Hessian of the augmented objective at X as node
+        blocks (diagonal, upper, corner).  The penalty is rho/2 times the
+        squared distance of the shifted image from the sets, whose
+        generalized Hessian is I - dproj."""
+        rho = self.rho
+        blocks = pb.node_blocks(self.grid, self.P.n)
+        self.hess(blocks, X)
+        W, E = pb.constraint_image(self.P, self.grid, X)
+        ZW = W + self.mu / rho
+        r_cells = ZW - project(self.P.omega1, ZW)
+        JW = residual_jacobian(self.P.omega1, ZW)
+        JW *= rho
+        JE = rho * residual_jacobian(self.P.omega2, (E + self.s / rho)[None])[0]
+        pb.add_constraint_hessian(blocks, self.P, self.grid, X, rho * r_cells, JW, JE)
+        return blocks
+
     def _lagrangian_gradient(self, S: np.ndarray) -> np.ndarray:
         """Node gradient of the plain Lagrangian at (X, mu, S)."""
         X = self.X
         return self.grad(X) + pb.constraint_adjoint(self.P, self.grid, X, self.mu, S)
 
-    # -- descent in the curve metric ---------------------------------------
+    # -- semismooth Newton -------------------------------------------------
 
-    def _evaluate(self, X: np.ndarray) -> tuple[float, np.ndarray]:
-        """Augmented value and its gradient in the curve metric at X: the
-        tail sums of the node gradient are its (x(0), cell velocity)
-        coordinates, stacked as one (N + 1, n) array, for the metric
-        <a, b> = a_0.b_0 + h sum_j a_j.b_j, in which gradient norms do not
-        depend on the grid."""
-        F, grad = self.aug_value_and_grad(X)
-        return F, tail_sums(grad)
+    def _metric_norm(self, G: np.ndarray) -> float:
+        """Norm of a node gradient G in the curve metric <a, b> = a_0.b_0 +
+        h sum_j a'_j.b'_j: the tail sums of G are its (x(0), velocity)
+        coordinates, and in this norm gradients do not depend on the grid."""
+        R = tail_sums(G)
+        return float(np.sqrt(
+            R[0] @ R[0] + self.grid.h * np.einsum("ki,ki->", R[1:], R[1:])))
 
-    def _dot(self, a: np.ndarray, b: np.ndarray) -> float:
-        """Curve-metric inner product of two arrays stacked as by _evaluate."""
-        return float(a[0] @ b[0]) + self.grid.h * float(
-            np.einsum("ki,ki->", a[1:], b[1:]))
+    def _newton_direction(self, X: np.ndarray, G: np.ndarray, tau: float):
+        """(D, tau): the solution of (H + tau M) D = -G for the generalized
+        Hessian H at X and the curve metric M, both block tridiagonal in
+        node coordinates, with the smallest tau >= the given one on the
+        ladder 0, 1e-6, 1e-5, ... for which every pivot is positive.  As
+        tau grows, D tends to the curve-metric gradient step -M^-1 G / tau.
+        D is None when no tau up to 1e12 helps (a Hessian that is not
+        finite)."""
+        blocks = self._aug_hessian(X)
+        shift = 0.0  # tau M already added to the blocks
+        while tau <= 1e12:
+            if tau > shift:
+                _add_curve_metric(blocks, self.grid, tau - shift)
+                shift = tau
+            try:
+                return blocktri.solve(blocks[0], blocks[1], -G, blocks[2]), tau
+            except np.linalg.LinAlgError:
+                tau = max(10.0 * tau, 1e-6)
+        return None, tau
 
-    def _apply_step(self, X: np.ndarray, D: np.ndarray, alpha: float) -> np.ndarray:
-        """The node array at (x(0), velocities) of X plus alpha * D."""
-        h = self.grid.h
-        out = np.empty_like(X)
-        out[0] = X[0] + alpha * D[0]
-        out[1:] = out[0] + h * np.cumsum(np.diff(X, axis=0) / h + alpha * D[1:], axis=0)
-        return out
-
-    def _forget(self):
-        """Empty the L-BFGS memory."""
-        self._pairs = 0
-        self._gamma = 1.0
-
-    def _remember(self, D: np.ndarray, alpha: float, R_new: np.ndarray,
-                  R: np.ndarray):
-        """Store the pair s = alpha * D, y = R_new - R in the ring buffers,
-        over the oldest one, unless its curvature s.y is not clearly
-        positive."""
-        y = R_new - R
-        sy, yy = alpha * self._dot(D, y), self._dot(y, y)
-        if not sy > _CURVATURE_SKIP * alpha * np.sqrt(self._dot(D, D) * yy):
-            return
-        i = self._head
-        np.multiply(D, alpha, out=self._S[i])
-        self._Y[i] = y
-        self._rho[i] = 1.0 / sy
-        self._gamma = sy / yy
-        self._head = (i + 1) % _MEMORY
-        self._pairs = min(self._pairs + 1, _MEMORY)
-
-    def _lbfgs_direction(self, R: np.ndarray) -> np.ndarray:
-        """-H R for the L-BFGS inverse Hessian H of the stored pairs, by the
-        two-loop recursion in the curve metric; -R with no pairs stored."""
-        q = -R
-        newest_first = [(self._head - 1 - k) % _MEMORY for k in range(self._pairs)]
-        alphas = []
-        for i in newest_first:
-            a = self._rho[i] * self._dot(self._S[i], q)
-            q -= a * self._Y[i]
-            alphas.append(a)
-        q *= self._gamma
-        for i, a in zip(newest_first[::-1], alphas[::-1]):
-            q += (a - self._rho[i] * self._dot(self._Y[i], q)) * self._S[i]
-        return q
-
-    def _line_search(self, X: np.ndarray, F: float, R: np.ndarray,
+    def _line_search(self, X: np.ndarray, F: float, G: np.ndarray,
                      D: np.ndarray, plateau: float):
-        """Halve from the unit step along D to (alpha, trial, *_evaluate(trial))
-        or None.  The unit trial comes with its gradient, so an accepted unit
-        step costs one evaluation.  While the predicted decrease alpha |<R, D>|
-        exceeds plateau, a value-only Armijo test decides; below it values are
-        float noise, and the first of 8 trials that shrinks |R|^2 to 0.995 of
-        itself passes."""
-        slope = self._dot(R, D)
+        """Halve from the unit step along D to (trial, *aug_value_and_grad
+        (trial)) or None.  While the predicted decrease alpha |<G, D>|
+        exceeds plateau, an Armijo test decides, with the gradient for the
+        unit trial (an accepted unit step costs one evaluation) and on
+        values alone below it.  Below plateau values are float noise, and
+        the first of 8 trials that shrinks the gradient's metric norm
+        squared to 0.995 of itself passes."""
+        slope = float(np.einsum("ki,ki->", G, D))
         if not slope < 0:
             return None
-        trial = self._apply_step(X, D, 1.0)
-        F_t, R_t = self._evaluate(trial)
-        if F_t <= F + _ARMIJO_C * slope:
-            return 1.0, trial, F_t, R_t
-        alpha = 0.5
-        while alpha * -slope > plateau:
-            trial = self._apply_step(X, D, alpha)
-            if self.aug_value(trial) <= F + _ARMIJO_C * alpha * slope:
-                return (alpha, trial, *self._evaluate(trial))
-            alpha *= 0.5
-        target = 0.995 * self._dot(R, R)
+        alpha = 1.0
+        if -slope > plateau:
+            trial = X + D
+            F_t, G_t = self.aug_value_and_grad(trial)
+            if F_t <= F + _ARMIJO_C * slope:
+                return trial, F_t, G_t
+            alpha = 0.5
+            while alpha * -slope > plateau:
+                trial = X + alpha * D
+                if self.aug_value(trial) <= F + _ARMIJO_C * alpha * slope:
+                    return (trial, *self.aug_value_and_grad(trial))
+                alpha *= 0.5
+        target = 0.995 * self._metric_norm(G) ** 2
         for _ in range(8):
-            trial = self._apply_step(X, D, alpha)
-            F_t, R_t = self._evaluate(trial)
-            if self._dot(R_t, R_t) <= target:
-                return alpha, trial, F_t, R_t
+            trial = X + alpha * D
+            F_t, G_t = self.aug_value_and_grad(trial)
+            if self._metric_norm(G_t) ** 2 <= target:
+                return trial, F_t, G_t
             alpha *= 0.5
         return None
 
     def inner_minimize(self):
-        """L-BFGS on the augmented objective in the curve metric.  A step
-        the quasi-Newton direction cannot make clears the memory and is
-        retried once along -R, the direction of an empty memory."""
+        """Semismooth Newton on the augmented objective (the inner step of
+        SSNAL, Li, Sun & Toh, SIAM J. Optim. 28, 2018), stopped when the
+        gradient's curve-metric norm reaches inner_tol.  The shift tau of
+        the Newton system starts at 0, grows only when a pivot is not
+        positive, and falls tenfold after each accepted step."""
         cfg = self.cfg
         X = self.X
-        F, R = self._evaluate(X)
-        self._forget()
+        F, G = self.aug_value_and_grad(X)
         eps = float(np.finfo(float).eps)
+        tau = 0.0
         for _ in range(cfg.inner_max_steps):
             if F <= _OBJECTIVE_FLOOR:
                 raise UnboundedError(
                     "unbounded below at this discretization", snapshot=X.copy()
                 )
-            if np.sqrt(self._dot(R, R)) <= cfg.inner_tol:
+            if self._metric_norm(G) <= cfg.inner_tol:
                 break
             # below this scale an Armijo decrease is not representable in
             # doubles
             plateau = 16.0 * eps * (1.0 + abs(F))
-            D = self._lbfgs_direction(R)
-            step = self._line_search(X, F, R, D, plateau)
-            if step is None and self._pairs:
-                self._forget()
-                D = -R
-                step = self._line_search(X, F, R, D, plateau)
+            D, tau = self._newton_direction(X, G, tau)
+            step = None if D is None else self._line_search(X, F, G, D, plateau)
             if step is None:
                 break  # true stationarity floor for this arithmetic
-            alpha, X, F, R_new = step
-            self._remember(D, alpha, R_new, R)
-            R = R_new
+            X, F, G = step
+            tau = 0.1 * tau if tau > 1e-6 else 0.0
         self.X = self.point = X
 
     def complementarity(self) -> float:
         """h sum_k |dW_k| + |dE| of the shifted residuals at X: zero exactly
         when the image is feasible and mu, s lie in its normal cones."""
         dW, dE = self._shifted_residuals(self.X)
-        return (self.grid.h * float(np.linalg.norm(dW, axis=1).sum())
+        return (self.grid.h * float(row_norms(dW).sum())
                 + float(np.linalg.norm(dE)))
 
     def update_duals(self):
@@ -342,8 +341,8 @@ class _AlmState:
         the current iterate; stationarity is the metric norm of the
         plain-Lagrangian gradient at (X, mu, s)."""
         vdef, edef = pb.feasibility_residual(self.P, Trajectory(self.grid, self.X))
-        R = tail_sums(self._lagrangian_gradient(self.s))
-        return self.value(self.X), vdef, edef, float(np.sqrt(self._dot(R, R)))
+        stat = self._metric_norm(self._lagrangian_gradient(self.s))
+        return self.value(self.X), vdef, edef, stat
 
 
 def _default_init(P: pb.ProblemSpec, grid: Grid) -> np.ndarray:
@@ -355,9 +354,9 @@ def _default_init(P: pb.ProblemSpec, grid: Grid) -> np.ndarray:
 
 
 def _run_alm(P: pb.ProblemSpec, cfg: SolverConfig, grid: Grid, value, grad,
-             X0: np.ndarray):
-    """Minimize value(X) (node gradient grad(X)) over the constraints of P
-    from X0.
+             hess, X0: np.ndarray):
+    """Minimize value(X) (node gradient grad(X), Hessian hess(X)) over the
+    constraints of P from X0.
 
     Each iterate is measured once.  Returns the final state, the history
     rows, whether the run converged, and the final iterate's measurement
@@ -365,7 +364,7 @@ def _run_alm(P: pb.ProblemSpec, cfg: SolverConfig, grid: Grid, value, grad,
     expression domain error or a failed projection becomes a SolverError
     whose snapshot is the node array whose evaluation failed.
     """
-    state = _AlmState(P, cfg, grid, value, grad, X0)
+    state = _AlmState(P, cfg, grid, value, grad, hess, X0)
     history = []
     converged = False
     prev_feas = np.inf
@@ -428,7 +427,7 @@ def solve(
     state, history, converged, (objective, vdef, edef, stat) = _run_alm(
         P, cfg, grid,
         lambda X: pb.cost(P, grid, X), lambda X: pb.cost_gradient(P, grid, X),
-        X0,
+        lambda blocks, X: pb.add_cost_hessian(blocks, P, grid, X), X0,
     )
     n = P.n
     return SolveResult(
@@ -458,7 +457,7 @@ def restore_feasibility(
     """
     pb._check_grid(P, x)
     grid = x.grid
-    value, grad = _restore_objective(x)
-    state, _, converged, _ = _run_alm(P, cfg, grid, value, grad, x.values.copy())
+    state, _, converged, _ = _run_alm(
+        P, cfg, grid, *_restore_objective(x), x.values.copy())
     y = Trajectory(grid, state.X)
     return RestoreResult(y=y, ac_gap=ac_norm(y - x), converged=converged)

@@ -130,3 +130,20 @@ def fit_order(hs, errors) -> float:
     if mask.sum() < 2:
         return np.inf
     return float(np.polyfit(np.log(hs[mask]), np.log(errors[mask]), 1)[0])
+
+
+def dense_block_tridiagonal(diag: np.ndarray, upper: np.ndarray,
+                            corner: np.ndarray | None = None) -> np.ndarray:
+    """The full symmetric matrix of blocks stored last: diag (n, n, m),
+    upper (n, n, m - 1) and the (0, m - 1) corner block."""
+    n, _, m = diag.shape
+    A = np.zeros((m * n, m * n))
+    for k in range(m):
+        A[k * n : (k + 1) * n, k * n : (k + 1) * n] += diag[:, :, k]
+    for k in range(m - 1):
+        A[k * n : (k + 1) * n, (k + 1) * n : (k + 2) * n] += upper[:, :, k]
+        A[(k + 1) * n : (k + 2) * n, k * n : (k + 1) * n] += upper[:, :, k].T
+    if corner is not None:
+        A[:n, (m - 1) * n :] += corner
+        A[(m - 1) * n :, :n] += corner.T
+    return A

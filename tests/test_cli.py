@@ -270,6 +270,25 @@ def test_probe_cq_command(workdir, capsys):
     assert payload["kappa_hat"] == pytest.approx(1.0, abs=5e-2)
 
 
+@pytest.mark.parametrize("out", ["missing/line.json", "sub"])
+def test_probe_cq_unwritable_out_exits_two_before_restoring(workdir, capsys,
+                                                            monkeypatch, out):
+    def never(*args, **kwargs):
+        raise AssertionError("a restoration ran although --out is unwritable")
+
+    monkeypatch.setattr(cli.cqmod, "restore_feasibility", never)
+    _write_case(workdir / "p2.json", "p2")
+    _write_line(workdir / "line.json", N=50)
+    (workdir / "sub").mkdir()
+    code = main(["probe-cq", "p2.json", "line.json", "--samples", "5",
+                 "--grid", "50", "--out", out])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write output: ") and out in err
+    assert ".part" not in err
+    assert sorted(os.listdir(workdir)) == ["line.json", "p2.json", "sub"]
+
+
 def test_check_derivatives_command(workdir, capsys):
     _write_case(workdir / "p1.json", "p1")
     _write_line(workdir / "line.json", N=60)
