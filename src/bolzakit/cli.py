@@ -176,6 +176,8 @@ def _parse_vector(text, n: int, flag: str):
         values = [float(part) for part in str(text).split(",")]
     except ValueError as err:
         raise _CliError(f"{flag}: expected comma-separated reals") from err
+    if not all(map(math.isfinite, values)):
+        raise _CliError(f"{flag}: components must be finite")
     if len(values) != n:
         raise _CliError(f"{flag}: expected {n} components, got {len(values)}")
     return np.asarray(values)

@@ -375,7 +375,8 @@ def _project_polyhedron(S: "Polyhedron", Y: np.ndarray,
                 p[g_part] -= t[:, None] * z
                 nu[:, g_part] -= r[:, None] * t
                 nu[q, g_part] += t
-                for j in np.unique(block[part]):
+                # (np.unique would import numpy.ma)
+                for j in sorted(set(block[part].tolist())):
                     drop = g_part[block[part] == j]
                     facet = int(falling[j])
                     nu[facet, drop] = 0.0

@@ -86,6 +86,8 @@ def _finite_vector(value, what: str) -> list[float]:
     for v in value:
         if not isinstance(v, (int, float)) or isinstance(v, bool):
             raise FormatError(f"{what} must contain numbers only")
+        if not math.isfinite(v):
+            raise FormatError(f"{what} must contain finite numbers only")
         out.append(float(v))
     return out
 

@@ -70,8 +70,8 @@ class ProblemSpec:
                 f"endpoint constraint set has dimension {self.omega2.dim}, "
                 f"expected {2 * self.n}"
             )
-        if self.lipschitz_ell is not None and not self.lipschitz_ell > 0:
-            raise ProblemError("declared Lipschitz modulus must be positive")
+        if self.lipschitz_ell is not None and not 0 < self.lipschitz_ell < np.inf:
+            raise ProblemError("declared Lipschitz modulus must be positive and finite")
         self._check_profile(self.theta, ex.PROFILE_RUNNING, "running cost")
         self._check_profile(self.phi, ex.PROFILE_TERMINAL, "terminal cost")
         for i, gi in enumerate(self.g):

@@ -5,9 +5,12 @@ The problem is discretized on a uniform grid and solved as
     min  J_h(x)   s.t.  w_k(x) := v_k + g(t_k, x_k) in Omega1  (each cell)
                         (x_0, x_N) in Omega2
 
-by an augmented-Lagrangian method with explicit slacks: the inner loop
-minimizes the augmented objective in x, the slacks are updated by exact
-projection, and the multipliers by the standard dual ascent step.  Cell
+by an augmented-Lagrangian method.  With the image shifted by the duals,
+Z = (w + mu/rho, e + s/rho), and its residual R = Z - proj(Z), the inner
+loop minimizes J_h + rho/2 |R|^2 in x (the slacks are the exact
+projections proj(Z)), and the dual update is (mu, s) <- rho R, the same as
+the ascent step mu + rho (w - proj(Z)).  The penalty rho grows by
+penalty_growth after every outer iteration that ends infeasible.  Cell
 multipliers are kept as densities (the dual pairing is sum_k h <mu_k, w_k>),
 so mu_k approximates a multiplier function value rather than an h-scaled
 impulse.
@@ -164,38 +167,34 @@ class _AlmState:
 
     # -- augmented objective ----------------------------------------------
 
-    def _shifted_residuals(self, X: np.ndarray):
-        """Constraint image minus its projection after the dual shift:
-        w - proj(w + mu/rho) per cell and e - proj(e + s/rho)."""
+    def _shifted(self, X: np.ndarray):
+        """((ZW, ZE), (RW, RE)): the constraint image shifted by the duals,
+        Z = (w + mu/rho, e + s/rho), and its residual R = Z - proj(Z), per
+        cell and for the endpoint pair.  The penalty is rho/2 |R|^2 and the
+        dual update is (mu, s) <- rho R."""
         W, E = pb.constraint_image(self.P, self.grid, X)
-        dW = W - project(self.P.omega1, W + self.mu / self.rho)
-        dE = E - project(self.P.omega2, E + self.s / self.rho)
-        return dW, dE
+        ZW = W + self.mu / self.rho
+        ZE = E + self.s / self.rho
+        return (ZW, ZE), (ZW - project(self.P.omega1, ZW),
+                          ZE - project(self.P.omega2, ZE))
 
-    def _penalty(self, X: np.ndarray):
-        """Penalty value and the shifted residuals it squares."""
-        dW, dE = self._shifted_residuals(X)
-        r_cells = dW + self.mu / self.rho
-        r_end = dE + self.s / self.rho
-        pen = 0.5 * self.rho * (
-            self.grid.h * float(np.einsum("ki,ki->", r_cells, r_cells))
-            + float(r_end @ r_end)
-        )
-        return pen, r_cells, r_end
+    def _penalty(self, RW: np.ndarray, RE: np.ndarray) -> float:
+        return 0.5 * self.rho * (self.grid.h * float(np.einsum("ki,ki->", RW, RW))
+                                 + float(RE @ RE))
 
     def aug_value(self, X: np.ndarray) -> float:
         self.point = X
         base = self.value(X)
-        return base + self._penalty(X)[0]
+        return base + self._penalty(*self._shifted(X)[1])
 
     def aug_value_and_grad(self, X: np.ndarray) -> tuple[float, np.ndarray]:
         self.point = X
         base = self.value(X)
-        pen, r_cells, r_end = self._penalty(X)
+        RW, RE = self._shifted(X)[1]
         grad = self.grad(X) + self.rho * pb.constraint_adjoint(
-            self.P, self.grid, X, r_cells, r_end
+            self.P, self.grid, X, RW, RE
         )
-        return base + pen, grad
+        return base + self._penalty(RW, RE), grad
 
     def _aug_hessian(self, X: np.ndarray):
         """Generalized Hessian of the augmented objective at X as node
@@ -205,13 +204,11 @@ class _AlmState:
         rho = self.rho
         blocks = pb.node_blocks(self.grid, self.P.n)
         self.hess(blocks, X)
-        W, E = pb.constraint_image(self.P, self.grid, X)
-        ZW = W + self.mu / rho
-        r_cells = ZW - project(self.P.omega1, ZW)
+        (ZW, ZE), (RW, _) = self._shifted(X)
         JW = residual_jacobian(self.P.omega1, ZW)
         JW *= rho
-        JE = rho * residual_jacobian(self.P.omega2, (E + self.s / rho)[None])[0]
-        pb.add_constraint_hessian(blocks, self.P, self.grid, X, rho * r_cells, JW, JE)
+        JE = rho * residual_jacobian(self.P.omega2, ZE[None])[0]
+        pb.add_constraint_hessian(blocks, self.P, self.grid, X, rho * RW, JW, JE)
         return blocks
 
     def _lagrangian_gradient(self, S: np.ndarray) -> np.ndarray:
@@ -312,16 +309,17 @@ class _AlmState:
         self.X = self.point = X
 
     def complementarity(self) -> float:
-        """h sum_k |dW_k| + |dE| of the shifted residuals at X: zero exactly
-        when the image is feasible and mu, s lie in its normal cones."""
-        dW, dE = self._shifted_residuals(self.X)
-        return (self.grid.h * float(row_norms(dW).sum())
-                + float(np.linalg.norm(dE)))
+        """h sum_k |mu+_k - mu_k| / rho + |s+ - s| / rho for the dual update
+        (mu+, s+) = rho R at X: zero exactly when the image is feasible and
+        mu, s lie in its normal cones."""
+        RW, RE = self._shifted(self.X)[1]
+        return (self.grid.h * float(row_norms(RW - self.mu / self.rho).sum())
+                + float(np.linalg.norm(RE - self.s / self.rho)))
 
     def update_duals(self):
-        dW, dE = self._shifted_residuals(self.X)
-        self.mu = self.mu + self.rho * dW
-        self.s = self.s + self.rho * dE
+        RW, RE = self._shifted(self.X)[1]
+        self.mu = self.rho * RW
+        self.s = self.rho * RE
 
     def initialize_endpoint_duals(self):
         """Least-squares endpoint multipliers, projected onto the normal
@@ -367,7 +365,6 @@ def _run_alm(P: pb.ProblemSpec, cfg: SolverConfig, grid: Grid, value, grad,
     state = _AlmState(P, cfg, grid, value, grad, hess, X0)
     history = []
     converged = False
-    prev_feas = np.inf
     try:
         state.initialize_endpoint_duals()
         objective, vdef, edef, stat = state.measure()
@@ -388,12 +385,8 @@ def _run_alm(P: pb.ProblemSpec, cfg: SolverConfig, grid: Grid, value, grad,
             state.inner_minimize()
             state.update_duals()
             objective, vdef, edef, stat = state.measure()
-            feas = vdef + edef
-            # grow the penalty only while infeasibility is both above target
-            # and not halving; growing past that wrecks inner conditioning
-            if feas > cfg.feas_tol and feas > 0.5 * prev_feas:
+            if vdef + edef > cfg.feas_tol:
                 state.rho *= cfg.penalty_growth
-            prev_feas = feas
     except pb.ex.ExprDomainError as err:
         raise SolverError(
             f"expression domain error: {err}", snapshot=state.point.copy()

@@ -339,10 +339,12 @@ def _exit_code(argv):
     ["probe-cq", "p2.json", "line.json", "--samples", "2", "--grid", "50",
      "--out", "missing/line.json"],
     ["solve", "p2.json", "--grid", "50", "--out-dir", "p2.json"],
+    ["verify", "p2.json", "line.json", "--s1", "nan", "--s2", "0", "--kappa", "10"],
+    ["verify", "p2.json", "line.json", "--s1", "0", "--s2", "inf", "--kappa", "10"],
 ], ids=["kappa-negative", "kappa-zero", "kappa-nan", "seed-negative",
         "tolerance-nan", "samples-negative", "eps-zero", "directions-zero",
         "feas-tol-nan", "rho-inf", "inner-tol-inf", "report-missing-dir",
-        "out-missing-dir", "out-dir-is-a-file"])
+        "out-missing-dir", "out-dir-is-a-file", "s1-nan", "s2-inf"])
 def test_bad_number_or_unwritable_output_exits_two(workdir, capsys, monkeypatch, argv):
     def never(*args, **kwargs):
         raise AssertionError("solve ran although its inputs were already known bad")
@@ -391,3 +393,30 @@ def test_set_json_round_trip():
     assert payload["lower"] == ["-inf"]
     S = jsonio.set_from_json(payload)
     assert S.lower[0] == -np.inf and S.upper[0] == 1.0
+
+
+
+@pytest.mark.parametrize("s1, s2", [([float("nan")], [0.0]),
+                                    ([0.0], [float("inf")])],
+                         ids=["s1-nan", "s2-inf"])
+def test_non_finite_multiplier_file_exits_two(workdir, capsys, s1, s2):
+    _write_case(workdir / "p2.json", "p2")
+    _write_line(workdir / "line.json", N=50)
+    payload = {"T": 1.0, "n": 1, "mu": [[0.0]] * 50, "s1": s1, "s2": s2}
+    # json writes NaN and Infinity, and json.load reads them back
+    (workdir / "m.json").write_text(json.dumps(payload), encoding="utf-8")
+    assert _exit_code(["verify", "p2.json", "line.json", "--multipliers", "m.json",
+                       "--kappa", "10"]) == 2
+    err = capsys.readouterr().err
+    assert "m.json" in err and "finite" in err
+    assert not os.path.exists("line.certificate.json")
+
+def test_infinite_lipschitz_modulus_exits_two(workdir, capsys):
+    payload = jsonio.problem_to_json(get_case("p2").problem)
+    payload["lipschitz_ell"] = "inf"
+    (workdir / "p2.json").write_text(json.dumps(payload), encoding="utf-8")
+    _write_line(workdir / "line.json", N=50)
+    assert _exit_code(["verify", "p2.json", "line.json", "--kappa", "10"]) == 2
+    err = capsys.readouterr().err
+    assert "p2.json" in err and "Lipschitz" in err
+    assert not os.path.exists("line.certificate.json")

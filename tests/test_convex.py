@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -434,3 +437,25 @@ def test_neg_normal_sum_distance_polyhedral_cones():
     P2 = cx.Product([cx.Singleton([1.0]), cx.Box([0.0], [1.0])])
     d = cx.neg_normal_sum_distance(P2, [1.0, 0.0], cx.Reals(2), [0.0, 0.0], [3.0, -2.0])
     assert d == pytest.approx(2.0, abs=1e-12)
+
+
+
+def test_partial_step_does_not_import_numpy_ma():
+    # np.unique imports numpy.ma on first use (about 15 ms and 1 MB), so the
+    # partial-step branch groups its rows with a set instead.  Projecting
+    # this point onto these five facets takes a partial step: a facet leaves
+    # the active set when its multiplier falls to zero.
+    script = (
+        "import sys\n"
+        "from bolzakit.convex import Polyhedron, project\n"
+        "project(Polyhedron([[-0.132, 0.64], [0.105, -0.536], [0.362, 1.304],\n"
+        "                    [0.947, -0.704], [-1.265, -0.623]],\n"
+        "                   [0.102, 0.872, 0.13, 0.757, 0.258]), [-0.386, 4.099])\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                       "src")
+    out = subprocess.run([sys.executable, "-c", script],
+                         env=dict(os.environ, PYTHONPATH=src), check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"

@@ -372,3 +372,10 @@ def test_declared_lipschitz_short_circuits_estimation():
     grid = Grid(1.0, 10)
     est = pb.estimate_lipschitz(P, _line(grid))
     assert est.value == 7.5 and est.provenance == "declared"
+
+
+@pytest.mark.parametrize("ell", [0.0, -1.0, np.inf, np.nan])
+def test_declared_lipschitz_must_be_positive_and_finite(ell):
+    # an infinite modulus would make the norm bound |lambda| <= inf vacuous
+    with pytest.raises(pb.ProblemError, match="Lipschitz"):
+        _make(ell=ell)
