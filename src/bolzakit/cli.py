@@ -36,7 +36,7 @@ from . import problem as pb
 from .convex import ConvexSetError
 from .expr import ExprError
 from .funspace import CellPath, Trajectory, ac_norm, one_one_norm, sup_norm
-from .optimality import Tolerances, certify, endpoint_multipliers, stationarity
+from .optimality import Tolerances, certify
 from .solver import SolverConfig, SolverError, solve
 
 EXIT_OK = 0
@@ -236,11 +236,7 @@ def _cmd_verify(args) -> int:
         s1 = _parse_vector(args.s1, P.n, "--s1")
         s2 = _parse_vector(args.s2, P.n, "--s2")
     try:
-        if s1 is None or s2 is None:
-            # default: the endpoint multipliers the stationarity rows imply
-            xi = endpoint_multipliers(stationarity(P, x, mu))
-            s1 = xi[: P.n] if s1 is None else s1
-            s2 = xi[P.n :] if s2 is None else s2
+        # certify fills a missing s1 or s2 from the stationarity rows
         report = certify(
             P, x, mu, s1, s2,
             kappa=args.kappa,
@@ -296,6 +292,7 @@ def _cmd_check_derivatives(args) -> int:
     worst_rel = 0.0
     worst_lin = 0.0
     try:
+        base = pb.apply_constraint(P, x)
         for _ in range(args.directions):
             u = Trajectory(grid, rng.standard_normal((grid.N + 1, P.n)))
             sym = pb.gateaux_J(P, x, u)
@@ -303,7 +300,6 @@ def _cmd_check_derivatives(args) -> int:
             minus = pb.evaluate_cost(P, x - eps * u)
             fd = (plus - minus) / (2 * eps)
             worst_rel = max(worst_rel, abs(sym - fd) / (1.0 + abs(sym)))
-            base = pb.apply_constraint(P, x)
             lin = pb.apply_constraint_derivative(P, x, u)
             shifted = pb.apply_constraint(P, x + eps * u)
             dv = (

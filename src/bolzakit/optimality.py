@@ -317,15 +317,16 @@ def certify(
     P: pb.ProblemSpec,
     x: Trajectory,
     mu: CellPath,
-    s1,
-    s2,
+    s1=None,
+    s2=None,
     kappa: float | None = None,
     tolerances: Tolerances | None = None,
     kappa_provenance: str = "supplied",
     seed: int = 0,
 ) -> CertificateReport:
     """Run every optimality check on the candidate bundle and aggregate a
-    verdict per condition.
+    verdict per condition.  A missing s1 or s2 is the half of
+    endpoint_multipliers(L) that closes the stationarity rows.
 
     The multiplier norm uses max(sup-norm of the density, Euclidean norm
     of the endpoint pair): the dual norm of the velocity-L1 x endpoint
@@ -334,9 +335,10 @@ def certify(
     gradient's ac-dual norm at and around the candidate (and flagged).
     """
     tol = tolerances or Tolerances()
-    pb._check_grid(P, x)
-    s1 = np.asarray(s1, dtype=float).reshape(-1)
-    s2 = np.asarray(s2, dtype=float).reshape(-1)
+    L = stationarity(P, x, mu)
+    xi = endpoint_multipliers(L)
+    s1 = xi[: P.n] if s1 is None else np.asarray(s1, dtype=float).reshape(-1)
+    s2 = xi[P.n :] if s2 is None else np.asarray(s2, dtype=float).reshape(-1)
     if s1.shape[0] != P.n or s2.shape[0] != P.n:
         raise pb.ProblemError("endpoint multipliers must have the state dimension")
 
@@ -345,8 +347,6 @@ def certify(
     feasible = (vdef + edef) <= tol.feasibility
 
     grid = x.grid
-    L = stationarity(P, x, mu)
-    xi = endpoint_multipliers(L)
     W, E = pb.constraint_image(P, grid, x.values)
     W = project(P.omega1, W)
     theta_x, theta_v = P.theta_grad_cells(*pb._cells(grid, x.values))
@@ -391,11 +391,8 @@ def certify(
     bound: float | None = None
     bound_ok: bool | None = None
     if kappa is not None:
-        if P.lipschitz_ell is not None:
-            ell_val, ell_prov = P.lipschitz_ell, "declared"
-        else:
-            est = pb.estimate_lipschitz(P, x, seed=seed)
-            ell_val, ell_prov = est.value, est.provenance
+        est = pb.estimate_lipschitz(P, x, seed=seed)
+        ell_val, ell_prov = est.value, est.provenance
         bound = kappa * ell_val
         bound_ok = lam <= bound
 

@@ -30,9 +30,11 @@ do not depend on the grid.  One line search serves every step: halvings
 from the unit step, tested by Armijo while the predicted decrease is
 above float resolution and by a shrinking gradient below it.
 
-The outer loop stops at a feasible iterate whose Lagrangian gradient is
-below the inner tolerance and whose multipliers lie in the normal cones
-(the complementarity residual of the dual update is below feas_tol).
+An iterate is evaluated once: the Hessian, the dual update and the
+outer measurement read that evaluation.  The outer loop stops at a
+feasible iterate whose Lagrangian gradient is below the inner tolerance
+and whose multipliers lie in the normal cones (the complementarity
+residual of the dual update is below feas_tol).
 """
 
 from __future__ import annotations
@@ -187,34 +189,30 @@ class _AlmState:
         base = self.value(X)
         return base + self._penalty(*self._shifted(X)[1])
 
-    def aug_value_and_grad(self, X: np.ndarray) -> tuple[float, np.ndarray]:
+    def aug_value_and_grad(self, X: np.ndarray):
+        """(augmented value, its node gradient, cost, _shifted(X)) at X."""
         self.point = X
-        base = self.value(X)
-        RW, RE = self._shifted(X)[1]
-        grad = self.grad(X) + self.rho * pb.constraint_adjoint(
-            self.P, self.grid, X, RW, RE
-        )
-        return base + self._penalty(RW, RE), grad
+        J = self.value(X)
+        shifted = self._shifted(X)
+        RW, RE = shifted[1]
+        G = self.grad(X) + self.rho * pb.constraint_adjoint(self.P, self.grid,
+                                                            X, RW, RE)
+        return J + self._penalty(RW, RE), G, J, shifted
 
-    def _aug_hessian(self, X: np.ndarray):
-        """Generalized Hessian of the augmented objective at X as node
-        blocks (diagonal, upper, corner).  The penalty is rho/2 times the
-        squared distance of the shifted image from the sets, whose
-        generalized Hessian is I - dproj."""
+    def _aug_hessian(self, X: np.ndarray, shifted):
+        """Generalized Hessian of the augmented objective at X, with shifted
+        image ``shifted``, as node blocks (diagonal, upper, corner).  The
+        penalty is rho/2 times the squared distance of the shifted image
+        from the sets, whose generalized Hessian is I - dproj."""
         rho = self.rho
         blocks = pb.node_blocks(self.grid, self.P.n)
         self.hess(blocks, X)
-        (ZW, ZE), (RW, _) = self._shifted(X)
+        (ZW, ZE), (RW, _) = shifted
         JW = residual_jacobian(self.P.omega1, ZW)
         JW *= rho
         JE = rho * residual_jacobian(self.P.omega2, ZE[None])[0]
         pb.add_constraint_hessian(blocks, self.P, self.grid, X, rho * RW, JW, JE)
         return blocks
-
-    def _lagrangian_gradient(self, S: np.ndarray) -> np.ndarray:
-        """Node gradient of the plain Lagrangian at (X, mu, S)."""
-        X = self.X
-        return self.grad(X) + pb.constraint_adjoint(self.P, self.grid, X, self.mu, S)
 
     # -- semismooth Newton -------------------------------------------------
 
@@ -226,7 +224,7 @@ class _AlmState:
         return float(np.sqrt(
             R[0] @ R[0] + self.grid.h * np.einsum("ki,ki->", R[1:], R[1:])))
 
-    def _newton_direction(self, X: np.ndarray, G: np.ndarray, tau: float):
+    def _newton_direction(self, X: np.ndarray, G: np.ndarray, shifted, tau: float):
         """(D, tau): the solution of (H + tau M) D = -G for the generalized
         Hessian H at X and the curve metric M, both block tridiagonal in
         node coordinates, with the smallest tau >= the given one on the
@@ -234,7 +232,7 @@ class _AlmState:
         tau grows, D tends to the curve-metric gradient step -M^-1 G / tau.
         D is None when no tau up to 1e12 helps (a Hessian that is not
         finite)."""
-        blocks = self._aug_hessian(X)
+        blocks = self._aug_hessian(X, shifted)
         shift = 0.0  # tau M already added to the blocks
         while tau <= 1e12:
             if tau > shift:
@@ -261,9 +259,9 @@ class _AlmState:
         alpha = 1.0
         if -slope > plateau:
             trial = X + D
-            F_t, G_t = self.aug_value_and_grad(trial)
-            if F_t <= F + _ARMIJO_C * slope:
-                return trial, F_t, G_t
+            evaluation = self.aug_value_and_grad(trial)
+            if evaluation[0] <= F + _ARMIJO_C * slope:
+                return (trial, *evaluation)
             alpha = 0.5
             while alpha * -slope > plateau:
                 trial = X + alpha * D
@@ -273,9 +271,9 @@ class _AlmState:
         target = 0.995 * self._metric_norm(G) ** 2
         for _ in range(8):
             trial = X + alpha * D
-            F_t, G_t = self.aug_value_and_grad(trial)
-            if self._metric_norm(G_t) ** 2 <= target:
-                return trial, F_t, G_t
+            evaluation = self.aug_value_and_grad(trial)
+            if self._metric_norm(evaluation[1]) ** 2 <= target:
+                return (trial, *evaluation)
             alpha *= 0.5
         return None
 
@@ -284,10 +282,11 @@ class _AlmState:
         SSNAL, Li, Sun & Toh, SIAM J. Optim. 28, 2018), stopped when the
         gradient's curve-metric norm reaches inner_tol.  The shift tau of
         the Newton system starts at 0, grows only when a pivot is not
-        positive, and falls tenfold after each accepted step."""
+        positive, and falls tenfold after each accepted step; returns the
+        last iterate's J, G and R."""
         cfg = self.cfg
         X = self.X
-        F, G = self.aug_value_and_grad(X)
+        F, G, J, shifted = self.aug_value_and_grad(X)
         eps = float(np.finfo(float).eps)
         tau = 0.0
         for _ in range(cfg.inner_max_steps):
@@ -300,13 +299,14 @@ class _AlmState:
             # below this scale an Armijo decrease is not representable in
             # doubles
             plateau = 16.0 * eps * (1.0 + abs(F))
-            D, tau = self._newton_direction(X, G, tau)
+            D, tau = self._newton_direction(X, G, shifted, tau)
             step = None if D is None else self._line_search(X, F, G, D, plateau)
             if step is None:
                 break  # true stationarity floor for this arithmetic
-            X, F, G = step
+            X, F, G, J, shifted = step
             tau = 0.1 * tau if tau > 1e-6 else 0.0
         self.X = self.point = X
+        return J, G, shifted[1]
 
     def complementarity(self) -> float:
         """h sum_k |mu+_k - mu_k| / rho + |s+ - s| / rho for the dual update
@@ -316,31 +316,29 @@ class _AlmState:
         return (self.grid.h * float(row_norms(RW - self.mu / self.rho).sum())
                 + float(np.linalg.norm(RE - self.s / self.rho)))
 
-    def update_duals(self):
-        RW, RE = self._shifted(self.X)[1]
+    def update_duals(self, RW: np.ndarray, RE: np.ndarray):
         self.mu = self.rho * RW
         self.s = self.rho * RE
 
-    def initialize_endpoint_duals(self):
+    def initialize_endpoint_duals(self) -> np.ndarray:
         """Least-squares endpoint multipliers, projected onto the normal
-        cone at the projected endpoint pair.
-
-        At a stationary warm start with inactive cell constraints this
-        makes the Lagrangian gradient vanish immediately, so a solve
-        started at an optimum converges in one outer iteration.
-        """
-        grad = self._lagrangian_gradient(np.zeros(2 * self.P.n))
-        xi = -np.concatenate([grad[0], grad[-1]])
+        cone at the projected endpoint pair; returns the Lagrangian
+        gradient at (X, 0, s).  At a stationary warm start with inactive
+        cell constraints it vanishes, so a solve started at an optimum
+        converges in one outer iteration."""
+        G = self.grad(self.X)  # the Lagrangian gradient at mu = 0, s = 0
         _, E = pb.constraint_image(self.P, self.grid, self.X)
-        self.s = project_normal_cone(self.P.omega2, project(self.P.omega2, E), xi)
+        self.s = project_normal_cone(self.P.omega2, project(self.P.omega2, E),
+                                     -np.concatenate([G[0], G[-1]]))
+        G[[0, -1]] += self.s.reshape(2, -1)
+        return G
 
-    def measure(self) -> tuple[float, float, float, float]:
+    def measure(self, J: float, G: np.ndarray) -> tuple[float, float, float, float]:
         """(objective, velocity defect, endpoint defect, stationarity) of
-        the current iterate; stationarity is the metric norm of the
-        plain-Lagrangian gradient at (X, mu, s)."""
+        the current iterate of cost J; stationarity is the metric norm of
+        the plain-Lagrangian gradient G at (X, mu, s)."""
         vdef, edef = pb.feasibility_residual(self.P, Trajectory(self.grid, self.X))
-        stat = self._metric_norm(self._lagrangian_gradient(self.s))
-        return self.value(self.X), vdef, edef, stat
+        return J, vdef, edef, self._metric_norm(G)
 
 
 def _default_init(P: pb.ProblemSpec, grid: Grid) -> np.ndarray:
@@ -366,8 +364,8 @@ def _run_alm(P: pb.ProblemSpec, cfg: SolverConfig, grid: Grid, value, grad,
     history = []
     converged = False
     try:
-        state.initialize_endpoint_duals()
-        objective, vdef, edef, stat = state.measure()
+        objective, vdef, edef, stat = state.measure(
+            state.value(state.X), state.initialize_endpoint_duals())
         for outer in range(1, cfg.outer_iters + 1):
             history.append(
                 {
@@ -382,9 +380,10 @@ def _run_alm(P: pb.ProblemSpec, cfg: SolverConfig, grid: Grid, value, grad,
                     and state.complementarity() <= cfg.feas_tol):
                 converged = True
                 break
-            state.inner_minimize()
-            state.update_duals()
-            objective, vdef, edef, stat = state.measure()
+            J, G, R = state.inner_minimize()
+            state.update_duals(*R)
+            objective, vdef, edef, stat = state.measure(J, G)
+            del G, R  # no array of this iterate outlives its measurement
             if vdef + edef > cfg.feas_tol:
                 state.rho *= cfg.penalty_growth
     except pb.ex.ExprDomainError as err:

@@ -336,6 +336,19 @@ def test_certify_solver_output_all_cases():
         assert rep.passed, (cid, rep.to_dict())
 
 
+def test_certify_defaults_endpoint_multipliers_to_stationarity_rows():
+    # a missing s1 or s2 is the half of -(L_0, L_N) that closes the first or
+    # last stationarity row: the report equals the one for the explicit pair
+    case = get_case("p4")
+    r = sv.solve(case.problem, sv.SolverConfig(grid_N=100))
+    n = case.problem.n
+    xi = opt.endpoint_multipliers(opt.stationarity(case.problem, r.x, r.mu))
+    want = opt.certify(case.problem, r.x, r.mu, xi[:n], xi[n:], kappa=2.0).to_dict()
+    assert opt.certify(case.problem, r.x, r.mu, kappa=2.0).to_dict() == want
+    assert opt.certify(case.problem, r.x, r.mu, s1=xi[:n], kappa=2.0).to_dict() == want
+    assert opt.certify(case.problem, r.x, r.mu, s2=xi[n:], kappa=2.0).to_dict() == want
+
+
 def _problem(n, theta, drift, omega1, omega2, phi="0"):
     return pb.ProblemSpec(
         n=n,

@@ -226,6 +226,25 @@ def test_outer_iterations_do_not_depend_on_grid(problem, most):
         assert len(r.history) <= most, (N, len(r.history))
 
 
+@pytest.mark.parametrize("problem", [_curved_problem, _ball_drift_problem],
+                         ids=["curved", "ball-drift"])
+def test_each_point_is_evaluated_once(monkeypatch, problem):
+    # the Hessian, the dual update and the outer measurement read the line
+    # search's evaluation: a shifted image for each augmented evaluation and
+    # complementarity test, a cost gradient for each augmented gradient, a
+    # cost for each augmented value, plus one of each for the start
+    shifted = _count_calls(monkeypatch, "_shifted")
+    values = _count_calls(monkeypatch, "aug_value")
+    grads = _count_calls(monkeypatch, "aug_value_and_grad")
+    comps = _count_calls(monkeypatch, "complementarity")
+    costs = _count_calls(monkeypatch, "cost", owner=pb)
+    cost_grads = _count_calls(monkeypatch, "cost_gradient", owner=pb)
+    assert sv.solve(problem(), sv.SolverConfig(grid_N=200)).converged
+    assert len(shifted) == len(values) + len(grads) + len(comps)
+    assert len(cost_grads) == len(grads) + 1
+    assert len(costs) == len(values) + len(grads) + 1
+
+
 def _coupled_problem():
     """n = 2 with a nonlinear drift, x-v coupling in theta, a terminal
     cost coupling x(0) and x(T), a ball velocity set and a ball endpoint
@@ -257,7 +276,7 @@ def test_assembled_hessian_matches_finite_differences():
     outside = np.linalg.norm(W + state.mu / state.rho - P.omega1.center, axis=1) > 0.8
     assert outside.any() and not outside.all()  # both pieces of the ball
     assert np.linalg.norm(E + state.s / state.rho - P.omega2.center) > 0.3
-    diag, upper, corner = state._aug_hessian(X)
+    diag, upper, corner = state._aug_hessian(X, state.aug_value_and_grad(X)[3])
     assert np.abs(corner).max() > 0
     H = dense_block_tridiagonal(diag, upper, corner)
     step = 1e-6
@@ -276,9 +295,9 @@ def test_newton_direction_tends_to_metric_gradient_step():
     # (x(0), velocity) coordinates are minus the tail sums of G
     state = _state(_curved_problem(), 50)
     X = state.X
-    _, G = state.aug_value_and_grad(X)
+    _, G, _, shifted = state.aug_value_and_grad(X)
     R = tail_sums(G)
-    D, tau = state._newton_direction(X, G, 1e9)
+    D, tau = state._newton_direction(X, G, shifted, 1e9)
     assert tau == 1e9
     coords = np.vstack([D[:1], np.diff(D, axis=0) / state.grid.h])
     np.testing.assert_allclose(tau * coords, -R, rtol=1e-6, atol=1e-6 * np.abs(R).max())
@@ -293,8 +312,8 @@ def test_newton_step_satisfies_secant_condition():
     state = _state(P, 40)
     t = state.grid.nodes()[:, None]
     X = np.hstack([0.1 + 0.3 * t, -0.2 * t ** 2])
-    _, G = state.aug_value_and_grad(X)
-    D, tau = state._newton_direction(X, G, 0.0)
+    _, G, _, shifted = state.aug_value_and_grad(X)
+    D, tau = state._newton_direction(X, G, shifted, 0.0)
     metric = pb.node_blocks(state.grid, 2)
     sv._add_curve_metric(metric, state.grid, 1.0)
     M = dense_block_tridiagonal(*metric)
