@@ -127,37 +127,51 @@ def _cyclic_reduction(D: np.ndarray, U: np.ndarray, B: np.ndarray) -> np.ndarray
 
 def solve(diag: np.ndarray, upper: np.ndarray, rhs: np.ndarray,
           corner: np.ndarray | None = None) -> np.ndarray:
-    """Solve A x = rhs for the symmetric positive definite block-tridiagonal
-    A whose blocks are stored last: diagonal blocks ``diag`` (n, n, m) with
-    diag[:, :, k] = A[k, k], upper blocks ``upper`` (n, n, m - 1) with
-    upper[:, :, k] = A[k, k+1], and the optional block ``corner`` =
-    A[0, m-1] (n, n); rhs has shape (m, n).  Raises
-    numpy.linalg.LinAlgError when A is not positive definite."""
-    n, _, m = diag.shape
+    """Solve A_b x_b = rhs_b for B independent symmetric positive definite
+    block-tridiagonal systems A_b whose blocks are stored last: diagonal
+    blocks ``diag`` (n, n, B, m) with diag[:, :, b, k] = A_b[k, k], upper
+    blocks ``upper`` (n, n, B, m - 1) with upper[:, :, b, k] = A_b[k, k+1],
+    and the optional blocks ``corner`` (n, n, B) = A_b[0, m-1]; rhs has
+    shape (B, m, n).  Raises numpy.linalg.LinAlgError when some A_b is not
+    positive definite.
+
+    The copies are chained into one system of B m blocks with zero coupling
+    blocks between them, so one reduction solves them all.  Each copy's
+    corner enters through the same 2n Woodbury columns: a column holds the
+    unit vectors of every copy's first (or last) node, and as the copies
+    are decoupled, T^-1 of it is each copy's T_b^-1 Z_b on the copy's own
+    nodes."""
+    n, _, copies, m = diag.shape
     if corner is not None and not corner.any():
         corner = None
     if corner is not None and m <= 2:
         # the corner is a block of the tridiagonal part itself
         if m == 1:
-            diag = diag + (corner + corner.T)[:, :, None]
+            diag = diag + (corner + corner.transpose(1, 0, 2))[..., None]
         else:
-            upper = upper + corner[:, :, None]
+            upper = upper + corner[..., None]
         corner = None
+    if copies > 1:  # zero blocks between the copies
+        upper = np.concatenate([upper, np.zeros((n, n, copies, 1))], axis=3)
+    upper = upper.reshape(n, n, -1)[..., : copies * m - 1]
+    diag = diag.reshape(n, n, copies * m)
     if corner is None:
-        return _cyclic_reduction(diag, upper, rhs.T.copy()[:, None, :])[:, 0, :].T
+        B = rhs.reshape(copies * m, n).T.copy()[:, None, :]
+        return _cyclic_reduction(diag, upper, B)[:, 0, :].T.reshape(copies, m, n)
     # one reduction for b and the 2n columns of Z
-    B = np.zeros((n, 1 + 2 * n, m))
-    B[:, 0, :] = rhs.T
-    B[:, 1 : 1 + n, 0] = np.eye(n)
-    B[:, 1 + n :, -1] = np.eye(n)
-    Y = _cyclic_reduction(diag, upper, B).transpose(2, 0, 1)  # (m, n, 1 + 2n)
-    TZ = Y[:, :, 1:]
-    S = np.concatenate([TZ[0], TZ[-1]])  # Z^T T^-1 Z, (2n, 2n)
+    B = np.zeros((n, 1 + 2 * n, copies, m))
+    B[:, 0] = rhs.transpose(2, 0, 1)
+    B[:, 1 : 1 + n, :, 0] = np.eye(n)[..., None]
+    B[:, 1 + n :, :, -1] = np.eye(n)[..., None]
+    Y = _cyclic_reduction(diag, upper, B.reshape(n, 1 + 2 * n, copies * m))
+    Y = Y.reshape(n, 1 + 2 * n, copies, m).transpose(2, 3, 0, 1)  # (B, m, n, 1 + 2n)
+    TZ = Y[..., 1:]
+    S = np.concatenate([TZ[:, 0], TZ[:, -1]], axis=1)  # Z^T T^-1 Z, (B, 2n, 2n)
     S_inv = np.linalg.inv(S)
-    K = np.zeros((2 * n, 2 * n))
-    K[:n, n:] = corner
-    K[n:, :n] = corner.T
+    K = np.zeros((copies, 2 * n, 2 * n))
+    K[:, :n, n:] = corner.transpose(2, 0, 1)
+    K[:, n:, :n] = corner.transpose(2, 1, 0)
     L = np.linalg.cholesky(S_inv + K)  # positive iff A is, given T
-    v = S_inv @ np.concatenate([Y[0, :, 0], Y[-1, :, 0]])
-    w = v - S_inv @ np.linalg.solve(L.T, np.linalg.solve(L, v))
-    return Y[:, :, 0] - TZ @ w
+    v = S_inv @ np.concatenate([Y[:, 0, :, :1], Y[:, -1, :, :1]], axis=1)
+    w = v - S_inv @ np.linalg.solve(L.transpose(0, 2, 1), np.linalg.solve(L, v))
+    return Y[..., 0] - (TZ @ w[:, None])[..., 0]

@@ -10,6 +10,12 @@ sampling; the probe draws random perturbations, bounds the left side
 from above by a feasibility restoration, and reports the largest
 observed ratio.  The result is a lower estimate of any valid kappa (up
 to restoration slack) and never a proof that the qualification holds.
+
+The restorations are independent, so the probe draws every perturbation
+first and restores the active ones as the copies of one ALM (a few ALMs
+on fine grids).  They share the penalty and the stop; each copy's
+converged flag is its own stop test, and a sample whose restoration did
+not converge is dropped as before.
 """
 
 from __future__ import annotations
@@ -76,30 +82,36 @@ def probe_kappa(
         )
     rng = np.random.default_rng(seed)
     grid = xbar.grid
-    records: list[CqSample] = []
-    kappa_hat: float | None = None
-    excluded = 0
-    dropped = 0
+    draws = []  # (curve, defect) per sample, None for a null perturbation
     for _ in range(samples):
         d = random_trajectory(grid, P.n, rng)
         norm = ac_norm(d)
         if norm < 1e-14:
+            draws.append(None)
+            continue
+        x = xbar + (delta / norm) * d
+        draws.append((x, sum(pb.feasibility_residual(P, x))))
+    active = [draw[0] for draw in draws if draw is not None and draw[1] > _RHS_FLOOR]
+    restored = iter(restore_feasibility(P, active, cfg))
+    records: list[CqSample] = []
+    kappa_hat: float | None = None
+    excluded = 0
+    dropped = 0
+    for draw in draws:
+        if draw is None:
             excluded += 1
             continue
-        u = (delta / norm) * d
-        x = xbar + u
-        v_defect, e_defect = pb.feasibility_residual(P, x)
-        rhs = v_defect + e_defect
+        rhs = draw[1]
         if rhs <= _RHS_FLOOR:
             excluded += 1
             records.append(CqSample(delta, 0.0, rhs, None))
             continue
-        restored = restore_feasibility(P, x, cfg)
-        if not restored.converged:
+        res = next(restored)
+        if not res.converged:
             dropped += 1
             continue
-        ratio = restored.ac_gap / rhs
-        records.append(CqSample(delta, restored.ac_gap, rhs, ratio))
+        ratio = res.ac_gap / rhs
+        records.append(CqSample(delta, res.ac_gap, rhs, ratio))
         kappa_hat = ratio if kappa_hat is None else max(kappa_hat, ratio)
     admitted = sum(1 for r in records if r.ratio is not None)
     caveat = (

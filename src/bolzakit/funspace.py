@@ -149,8 +149,8 @@ def tail_sums(G: np.ndarray) -> np.ndarray:
     """Row k is sum_{m >= k} G_m.  For a node gradient G this is the same
     functional in (x(0), cell velocity) coordinates: under the node
     pairing, <G, u> = <R_0, u(0)> + h sum_j <R_{j+1}, u'_j> with R =
-    tail_sums(G)."""
-    return np.cumsum(G[::-1], axis=0)[::-1]
+    tail_sums(G).  Leading axes are copies."""
+    return np.cumsum(G[..., ::-1, :], axis=-2)[..., ::-1, :]
 
 
 def ac_dual_norm(G: np.ndarray) -> float:

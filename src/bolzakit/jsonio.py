@@ -30,6 +30,7 @@ import json
 import math
 import os
 import tempfile
+from itertools import chain
 
 import numpy as np
 
@@ -69,7 +70,10 @@ def _decode_extended(value, what: str) -> float:
             return -math.inf
         raise FormatError(f"{what}: bad numeric string {value!r}")
     if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return float(value)
+        try:
+            return float(value)
+        except OverflowError as err:  # an integer beyond the doubles
+            raise FormatError(f"{what}: number out of range") from err
     raise FormatError(f"{what}: expected a number, got {type(value).__name__}")
 
 
@@ -79,25 +83,27 @@ def _encode_extended(value: float):
     return float(value)
 
 
-def _finite_vector(value, what: str) -> list[float]:
-    if not isinstance(value, list):
-        raise FormatError(f"{what} must be an array")
-    out = []
-    for v in value:
-        if not isinstance(v, (int, float)) or isinstance(v, bool):
-            raise FormatError(f"{what} must contain numbers only")
-        if not math.isfinite(v):
-            raise FormatError(f"{what} must contain finite numbers only")
-        out.append(float(v))
-    return out
+def _finite_vector(value, what: str) -> np.ndarray:
+    return _finite_rows([value], what)[0]
 
 
-def _finite_rows(value, what: str) -> list[list[float]]:
+def _finite_rows(value, what: str) -> np.ndarray:
+    """An array of equally long arrays of finite JSON numbers (booleans
+    are not numbers) as a float matrix."""
     if not isinstance(value, list):
         raise FormatError(f"{what} must be an array of rows")
-    rows = [_finite_vector(row, what) for row in value]
-    if len({len(r) for r in rows}) > 1:
+    if not all(isinstance(row, list) for row in value):
+        raise FormatError(f"{what} must be an array")
+    if not set(map(type, chain.from_iterable(value))) <= {int, float}:
+        raise FormatError(f"{what} must contain numbers only")
+    if len(set(map(len, value))) > 1:
         raise FormatError(f"{what} rows have inconsistent lengths")
+    try:
+        rows = np.array(value, dtype=float)
+    except OverflowError as err:  # an integer beyond the doubles
+        raise FormatError(f"{what} must contain finite numbers only") from err
+    if not np.isfinite(rows).all():
+        raise FormatError(f"{what} must contain finite numbers only")
     return rows
 
 
@@ -241,7 +247,7 @@ def _values_matrix(obj, what: str) -> np.ndarray:
     if not isinstance(values, list) or not values:
         raise FormatError(f"{what} values must be a nonempty array of rows")
     rows = [row if isinstance(row, list) else [row] for row in values]
-    arr = np.asarray(_finite_rows(rows, what), dtype=float)
+    arr = _finite_rows(rows, what)
     n = _positive_int(obj["n"], f"{what} n")
     if arr.shape[1] != n:
         raise FormatError(f"{what} rows have {arr.shape[1]} columns but n = {n}")
@@ -352,7 +358,7 @@ def load_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as handle:
             return json.load(handle)
-    except json.JSONDecodeError as err:
+    except ValueError as err:  # a decode error, or an integer over the digit limit
         raise FormatError(f"malformed JSON ({err})") from err
     except OSError as err:
         raise FormatError(str(err)) from err

@@ -12,7 +12,10 @@ constraint_image, constraint_adjoint); the solver calls them directly
 and the Trajectory functions call them after checking their arguments.
 Beside them, add_cost_hessian and add_constraint_hessian assemble the
 second derivatives, per cell in (x_k, v_k), in place into the
-block-tridiagonal node matrix of the solver's Newton step.
+block-tridiagonal node matrix of the solver's Newton step.  The constraint
+kernels, the feasibility defects and the node matrix take a leading copy
+axis, so that one solver run treats B independent curves at once; the
+expression programs then run once on the B N cells of all copies.
 
 Quadrature convention: cell integrands are evaluated at the left node in
 (t, x) with the exact cell velocity, i.e. a rectangle rule that is
@@ -22,6 +25,7 @@ cell-by-cell with the continuous optimality conditions.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -231,18 +235,34 @@ def _check_grid(P: ProblemSpec, x: Trajectory):
 
 
 # ---- kernels on node arrays ---------------------------------------------
-# X has shape (N+1, n) on `grid`.  The kernels check nothing and accept
-# non-finite values: the solver evaluates line-search trials with them,
-# while a Trajectory rejects non-finite nodes.
+# X has shape (N+1, n) on `grid`; the constraint kernels also take copies
+# (B, N+1, n), with cell arrays (B, N, n) and endpoint pairs (B, 2n).  The
+# kernels check nothing and accept non-finite values: the solver evaluates
+# line-search trials with them, while a Trajectory rejects non-finite nodes.
 
 
 def _cells(grid: Grid, X: np.ndarray):
-    """The cell quadrature points: left-node times, left-node states and
-    exact cell velocities (the slice difference is np.diff without its
-    per-call overhead).  Every cell evaluation of theta, g or their
-    derivatives, and every linearization, reads its points here; the node
-    scatters in cost_gradient and constraint_adjoint are their transpose."""
-    return grid.cell_lefts(), X[:-1], (X[1:] - X[:-1]) / grid.h
+    """The cell quadrature points, one row per cell of every copy: left-node
+    times, left-node states and exact cell velocities (the slice difference
+    is np.diff without its per-call overhead).  Every cell evaluation of
+    theta, g or their derivatives, and every linearization, reads its
+    points here; the node scatters in cost_gradient and constraint_adjoint
+    are their transpose."""
+    n = X.shape[-1]
+    XL = X[..., :-1, :]
+    V = (X[..., 1:, :] - XL) / grid.h
+    if X.ndim == 2:
+        return grid.cell_lefts(), XL, V
+    return np.tile(grid.cell_lefts(), len(X)), XL.reshape(-1, n), V.reshape(-1, n)
+
+
+def _per_copy(rows: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """Rows of _cells(grid, X) laid out as the cells of X, (..., N, ...);
+    one row shared by every cell stays as it is."""
+    shape = (*X.shape[:-2], X.shape[-2] - 1)
+    if len(rows) != math.prod(shape):
+        return rows
+    return rows.reshape(*shape, *rows.shape[1:])
 
 
 def cost(P: ProblemSpec, grid: Grid, X: np.ndarray) -> float:
@@ -270,9 +290,10 @@ def constraint_image(
     P: ProblemSpec, grid: Grid, X: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """(W, E): the velocity part w_k = v_k + g(t_k, x_k), shape (N, n), and
-    the endpoint pair E = (x_0, x_N)."""
+    the endpoint pair E = (x_0, x_N), per copy."""
     t, XL, V = _cells(grid, X)
-    return V + P.g_cells(t, XL), np.concatenate([X[0], X[-1]])
+    W = _per_copy(V + P.g_cells(t, XL), X)
+    return W, np.concatenate([X[..., 0, :], X[..., -1, :]], axis=-1)
 
 
 def constraint_adjoint(
@@ -280,53 +301,69 @@ def constraint_adjoint(
 ) -> np.ndarray:
     """Transpose of the constraint linearization at X: the node gradient
     of sum_k h <MU_k, w_k(X)> + <S, (x_0, x_N)> for cell values MU (N, n)
-    and an endpoint vector S (2n,)."""
+    and an endpoint vector S (2n,), per copy."""
     n = P.n
     t, XL, _ = _cells(grid, X)
-    G = P.g_jacobian_cells(t, XL)
+    G = _per_copy(P.g_jacobian_cells(t, XL), X)
     out = np.zeros_like(X)
-    out[:-1] = grid.h * np.einsum("...ij,...i->...j", G, MU) - MU
-    out[1:] += MU
-    out[0] += S[:n]
-    out[-1] += S[n:]
+    out[..., :-1, :] = grid.h * np.einsum("...ij,...i->...j", G, MU) - MU
+    out[..., 1:, :] += MU
+    out[..., 0, :] += S[..., :n]
+    out[..., -1, :] += S[..., n:]
     return out
 
 
-def node_blocks(grid: Grid, n: int):
-    """A zero block-tridiagonal matrix on the nodes, to be filled in place
-    by add_cell_form: (diagonal, upper, corner) with blocks stored last,
-    diagonal[:, :, k] at node k (n, n, N + 1), upper[:, :, k] coupling
-    node k to node k + 1 (n, n, N), and the corner (n, n) coupling x_0 to
-    x_N."""
-    return (np.zeros((n, n, grid.N + 1)), np.zeros((n, n, grid.N)),
-            np.zeros((n, n)))
+def feasibility_defects(P: ProblemSpec, grid: Grid, W: np.ndarray, E: np.ndarray):
+    """(velocity defect, endpoint defect) of the constraint image (W, E),
+    per copy: the integrated distance of the velocity part from its
+    constraint set and the Euclidean distance of the endpoint pair from
+    its set."""
+    cell_dist = distance(P.omega1, W.reshape(-1, P.n)).reshape(W.shape[:-1])
+    return grid.h * cell_dist.sum(axis=-1), distance(P.omega2, E)
+
+
+def node_blocks(grid: Grid, n: int, copies: int):
+    """Zero block-tridiagonal matrices on the nodes of each copy, to be
+    filled in place by add_cell_form: (diagonal, upper, corner) with blocks
+    stored last, diagonal[:, :, b, k] at node k of copy b (n, n, B, N + 1),
+    upper[:, :, b, k] coupling node k to node k + 1 (n, n, B, N), and the
+    corner (n, n, B) coupling x_0 to x_N."""
+    return (np.zeros((n, n, copies, grid.N + 1)),
+            np.zeros((n, n, copies, grid.N)), np.zeros((n, n, copies)))
 
 
 def add_cell_form(blocks, grid: Grid, xx=None, xv=None, vv=None, ends=None):
-    """Add to node blocks, in place, the Hessian of sum_k h q_k + e:
-    q_k a quadratic form in (x_k, v_k) with (N, n, n) stacks xx, xv
-    (x rows, v columns) and vv, each optional and (1, n, n) for the same
-    block in every cell, and e a form with (2n, 2n) matrix ``ends`` in the
-    endpoint pair (x_0, x_N).  With v_k = (x_{k+1} - x_k) / h a cell adds
-    h xx - (xv + xv^T) + vv/h to node k, vv/h to node k + 1 and xv - vv/h
-    between them.  Each part is folded in as it comes, so a caller can
-    free it before building the next."""
+    """Add to node blocks, in place, the Hessian of sum_k h q_k + e per
+    copy: q_k a quadratic form in (x_k, v_k) with (B N, n, n) stacks xx,
+    xv (x rows, v columns) and vv, the cells of copy b at rows b N to
+    (b + 1) N, each optional and (1, n, n) for the same block in every
+    cell, and e a form with (2n, 2n) matrix ``ends``, or one (B, 2n, 2n)
+    per copy, in the endpoint pair (x_0, x_N).  With v_k = (x_{k+1} - x_k)
+    / h a cell adds h xx - (xv + xv^T) + vv/h to node k, vv/h to node
+    k + 1 and xv - vv/h between them.  Each part is folded in as it comes,
+    so a caller can free it before building the next."""
     diag, upper, corner = blocks
     h = grid.h
+
+    def cells(form):  # as blocks (n, n, B, N), or (n, n, 1, 1)
+        lead = (1, 1) if len(form) == 1 else upper.shape[2:]
+        return form.reshape(*lead, *form.shape[1:]).transpose(2, 3, 0, 1)
+
     if vv is not None:
-        part = vv.transpose(1, 2, 0) / h
+        part = cells(vv) / h
         diag[..., :-1] += part
         diag[..., 1:] += part
         upper -= part
     if xv is not None:
-        part = xv.transpose(1, 2, 0)
+        part = cells(xv)
         diag[..., :-1] -= part
-        diag[..., :-1] -= part.transpose(1, 0, 2)
+        diag[..., :-1] -= part.transpose(1, 0, 2, 3)
         upper += part
     if xx is not None:
-        diag[..., :-1] += h * xx.transpose(1, 2, 0)
+        diag[..., :-1] += h * cells(xx)
     if ends is not None:
         n = corner.shape[0]
+        ends = ends.reshape(-1, 2 * n, 2 * n).transpose(1, 2, 0)
         diag[..., 0] += ends[:n, :n]
         diag[..., -1] += ends[n:, n:]
         corner += ends[:n, n:]
@@ -345,11 +382,12 @@ def add_constraint_hessian(
     JW: np.ndarray, JE: np.ndarray,
 ):
     """Add to node blocks the Hessian at X of sum_k h psi_k(w_k(X)) +
-    psi_E((x_0, x_N)) for cell functions psi_k with gradients MU (N, n)
-    and Hessians JW (N, n, n) at w_k(X), and an endpoint function with
-    Hessian JE (2n, 2n).  The linearization dw_k = dv_k + g_x dx_k gives
-    the Gauss-Newton part; the drift's curvature weighted by MU gives the
-    rest.  constraint_adjoint with the same MU is its gradient."""
+    psi_E((x_0, x_N)) per copy, for cell functions psi_k with gradients MU
+    (B, N, n) and Hessians JW (B N, n, n) at w_k(X), and an endpoint
+    function with Hessian JE (B, 2n, 2n).  The linearization dw_k = dv_k +
+    g_x dx_k gives the Gauss-Newton part; the drift's curvature weighted
+    by MU gives the rest.  constraint_adjoint with the same MU is its
+    gradient."""
     t, XL, _ = _cells(grid, X)
     G = P.g_jacobian_cells(t, XL)
     add_cell_form(blocks, grid, vv=JW, ends=JE)
@@ -357,7 +395,7 @@ def add_constraint_hessian(
     add_cell_form(blocks, grid, xv=JG.transpose(0, 2, 1))  # G^T JW
     xx = G.transpose(0, 2, 1) @ JG
     del JG
-    xx += P.g_hessian_cells(t, XL, MU)
+    xx += P.g_hessian_cells(t, XL, MU.reshape(-1, P.n))
     add_cell_form(blocks, grid, xx=xx)
 
 
@@ -405,15 +443,11 @@ def apply_constraint_derivative(
 
 
 def feasibility_residual(P: ProblemSpec, x: Trajectory) -> tuple[float, float]:
-    """(velocity_defect, endpoint_defect): the integrated distance of the
-    velocity part from its constraint set and the Euclidean distance of
-    the endpoint pair from its set."""
+    """(velocity_defect, endpoint_defect) of x; see feasibility_defects."""
     img = apply_constraint(P, x)
-    h = x.grid.h
-    cell_dist = np.asarray(distance(P.omega1, img.velocity_part.values))
-    velocity_defect = float(h * cell_dist.sum())
-    endpoint_defect = float(distance(P.omega2, img.endpoints))
-    return velocity_defect, endpoint_defect
+    velocity_defect, endpoint_defect = feasibility_defects(
+        P, x.grid, img.velocity_part.values, img.endpoints)
+    return float(velocity_defect), float(endpoint_defect)
 
 
 @dataclass(frozen=True)

@@ -35,6 +35,16 @@ outer measurement read that evaluation.  The outer loop stops at a
 feasible iterate whose Lagrangian gradient is below the inner tolerance
 and whose multipliers lie in the normal cones (the complementarity
 residual of the dual update is below feas_tol).
+
+One ALM solves B independent copies of the problem at once: node arrays
+carry a leading copy axis, the objective is the sum over the copies, and
+the Newton system is the copies' systems side by side.  The copies share
+rho (it grows when any copy ends an outer iteration infeasible), the step
+length and the stops: the inner loop stops when every copy's gradient is
+below inner_tol, the outer loop when every copy passes the stop test at
+the same iterate.  A copy's converged flag is its own test at the last
+tested iterate.  solve is the one-copy case; restore_feasibility restores
+many curves in one run.
 """
 
 from __future__ import annotations
@@ -106,26 +116,26 @@ class RestoreResult:
     converged: bool
 
 
-def _restore_objective(x_ref: Trajectory):
-    """Half squared deviation from a reference curve, measured on the
-    initial value and the cell velocities: (value, node gradient, Hessian).
-    The Hessian is constant: the curve metric."""
-    grid = x_ref.grid
+def _restore_objective(grid: Grid, X_ref: np.ndarray):
+    """Half squared deviation from reference curves X_ref (B, N+1, n),
+    measured on the initial value and the cell velocities and summed over
+    the copies: (value, node gradient, Hessian).  The Hessian is constant:
+    the curve metric."""
     h = grid.h
-    x0_ref = x_ref.values[0]
-    v_ref = x_ref.velocities()
+    x0_ref = X_ref[:, 0]
+    v_ref = np.diff(X_ref, axis=1) / h
 
     def value(X: np.ndarray) -> float:
-        d0 = X[0] - x0_ref
-        dv = np.diff(X, axis=0) / h - v_ref
-        return float(0.5 * (d0 @ d0) + 0.5 * h * np.einsum("ki,ki->", dv, dv))
+        d0 = X[:, 0] - x0_ref
+        dv = np.diff(X, axis=1) / h - v_ref
+        return float(0.5 * np.vdot(d0, d0) + 0.5 * h * np.einsum("bki,bki->", dv, dv))
 
     def grad(X: np.ndarray) -> np.ndarray:
-        dv = np.diff(X, axis=0) / h - v_ref
+        dv = np.diff(X, axis=1) / h - v_ref
         out = np.zeros_like(X)
-        out[:-1] -= dv
-        out[1:] += dv
-        out[0] += X[0] - x0_ref
+        out[:, :-1] -= dv
+        out[:, 1:] += dv
+        out[:, 0] += X[:, 0] - x0_ref
         return out
 
     def hess(blocks, X: np.ndarray):
@@ -136,11 +146,22 @@ def _restore_objective(x_ref: Trajectory):
 
 def _add_curve_metric(blocks, grid: Grid, weight: float):
     """Add weight times the curve metric <a, b> = a_0.b_0 + h sum_j
-    a'_j.b'_j to node blocks."""
+    a'_j.b'_j to the node blocks of every copy."""
     n = blocks[2].shape[0]
     ends = np.zeros((2 * n, 2 * n))
     ends[:n, :n] = weight * np.eye(n)
     pb.add_cell_form(blocks, grid, vv=weight * np.eye(n)[None], ends=ends)
+
+
+def _dots(A: np.ndarray) -> np.ndarray:
+    """<a, a> for each row a of A; the stacked product is the BLAS dot of
+    one vector, so a single copy sums as a plain a @ a does."""
+    return (A[:, None, :] @ A[:, :, None])[:, 0, 0]
+
+
+def _snapshot(X: np.ndarray) -> np.ndarray:
+    """The node array of an error: one copy without its copy axis."""
+    return X[0].copy() if len(X) == 1 else X.copy()
 
 
 # ---------------------------------------------------------------------------
@@ -148,9 +169,12 @@ def _add_curve_metric(blocks, grid: Grid, weight: float):
 
 
 class _AlmState:
-    """ALM iterate for min value(X) subject to the problem's constraints;
-    ``value`` and ``grad`` are the objective and its node gradient, and
-    ``hess(blocks, X)`` adds its Hessian to node blocks."""
+    """ALM iterate for min value(X) subject to the problem's constraints,
+    for B copies at once: X is (B, N+1, n), mu (B, N, n) and s (B, 2n).
+    ``value`` is the objective summed over the copies, ``grad`` its node
+    gradient, and ``hess(blocks, X)`` adds its Hessian to node blocks; each
+    copy's objective depends on that copy alone.  ``grid`` is one copy's
+    grid."""
 
     def __init__(self, P: pb.ProblemSpec, cfg: SolverConfig, grid: Grid,
                  value, grad, hess, X0: np.ndarray):
@@ -163,8 +187,8 @@ class _AlmState:
         self.X = X0.copy()
         # the node array under evaluation: the snapshot of a domain error
         self.point = self.X
-        self.mu = np.zeros((grid.N, P.n))
-        self.s = np.zeros(2 * P.n)
+        self.mu = np.zeros((len(X0), grid.N, P.n))
+        self.s = np.zeros((len(X0), 2 * P.n))
         self.rho = cfg.penalty_rho
 
     # -- augmented objective ----------------------------------------------
@@ -177,12 +201,12 @@ class _AlmState:
         W, E = pb.constraint_image(self.P, self.grid, X)
         ZW = W + self.mu / self.rho
         ZE = E + self.s / self.rho
-        return (ZW, ZE), (ZW - project(self.P.omega1, ZW),
-                          ZE - project(self.P.omega2, ZE))
+        PW = project(self.P.omega1, ZW.reshape(-1, self.P.n)).reshape(ZW.shape)
+        return (ZW, ZE), (ZW - PW, ZE - project(self.P.omega2, ZE))
 
     def _penalty(self, RW: np.ndarray, RE: np.ndarray) -> float:
-        return 0.5 * self.rho * (self.grid.h * float(np.einsum("ki,ki->", RW, RW))
-                                 + float(RE @ RE))
+        return 0.5 * self.rho * (self.grid.h * float(np.einsum("bki,bki->", RW, RW))
+                                 + float(np.vdot(RE, RE)))
 
     def aug_value(self, X: np.ndarray) -> float:
         self.point = X
@@ -201,37 +225,39 @@ class _AlmState:
 
     def _aug_hessian(self, X: np.ndarray, shifted):
         """Generalized Hessian of the augmented objective at X, with shifted
-        image ``shifted``, as node blocks (diagonal, upper, corner).  The
-        penalty is rho/2 times the squared distance of the shifted image
-        from the sets, whose generalized Hessian is I - dproj."""
+        image ``shifted``, as node blocks (diagonal, upper, corner) per
+        copy.  The penalty is rho/2 times the squared distance of the
+        shifted image from the sets, whose generalized Hessian is
+        I - dproj."""
         rho = self.rho
-        blocks = pb.node_blocks(self.grid, self.P.n)
+        blocks = pb.node_blocks(self.grid, self.P.n, len(X))
         self.hess(blocks, X)
         (ZW, ZE), (RW, _) = shifted
-        JW = residual_jacobian(self.P.omega1, ZW)
+        JW = residual_jacobian(self.P.omega1, ZW.reshape(-1, self.P.n))
         JW *= rho
-        JE = rho * residual_jacobian(self.P.omega2, ZE[None])[0]
+        JE = rho * residual_jacobian(self.P.omega2, ZE)
         pb.add_constraint_hessian(blocks, self.P, self.grid, X, rho * RW, JW, JE)
         return blocks
 
     # -- semismooth Newton -------------------------------------------------
 
-    def _metric_norm(self, G: np.ndarray) -> float:
-        """Norm of a node gradient G in the curve metric <a, b> = a_0.b_0 +
-        h sum_j a'_j.b'_j: the tail sums of G are its (x(0), velocity)
-        coordinates, and in this norm gradients do not depend on the grid."""
+    def _metric_norms(self, G: np.ndarray) -> np.ndarray:
+        """Norm of each copy's node gradient G in the curve metric <a, b> =
+        a_0.b_0 + h sum_j a'_j.b'_j: the tail sums of G are its (x(0),
+        velocity) coordinates, and in this norm gradients do not depend on
+        the grid."""
         R = tail_sums(G)
-        return float(np.sqrt(
-            R[0] @ R[0] + self.grid.h * np.einsum("ki,ki->", R[1:], R[1:])))
+        return np.sqrt(_dots(R[:, 0])
+                       + self.grid.h * np.einsum("bki,bki->b", R[:, 1:], R[:, 1:]))
 
     def _newton_direction(self, X: np.ndarray, G: np.ndarray, shifted, tau: float):
         """(D, tau): the solution of (H + tau M) D = -G for the generalized
         Hessian H at X and the curve metric M, both block tridiagonal in
         node coordinates, with the smallest tau >= the given one on the
-        ladder 0, 1e-6, 1e-5, ... for which every pivot is positive.  As
-        tau grows, D tends to the curve-metric gradient step -M^-1 G / tau.
-        D is None when no tau up to 1e12 helps (a Hessian that is not
-        finite)."""
+        ladder 0, 1e-6, 1e-5, ... for which every pivot of every copy is
+        positive.  As tau grows, D tends to the curve-metric gradient step
+        -M^-1 G / tau.  D is None when no tau up to 1e12 helps (a Hessian
+        that is not finite)."""
         blocks = self._aug_hessian(X, shifted)
         shift = 0.0  # tau M already added to the blocks
         while tau <= 1e12:
@@ -247,13 +273,14 @@ class _AlmState:
     def _line_search(self, X: np.ndarray, F: float, G: np.ndarray,
                      D: np.ndarray, plateau: float):
         """Halve from the unit step along D to (trial, *aug_value_and_grad
-        (trial)) or None.  While the predicted decrease alpha |<G, D>|
-        exceeds plateau, an Armijo test decides, with the gradient for the
-        unit trial (an accepted unit step costs one evaluation) and on
-        values alone below it.  Below plateau values are float noise, and
-        the first of 8 trials that shrinks the gradient's metric norm
-        squared to 0.995 of itself passes."""
-        slope = float(np.einsum("ki,ki->", G, D))
+        (trial)) or None; one step length serves every copy.  While the
+        predicted decrease alpha |<G, D>| exceeds plateau, an Armijo test
+        decides, with the gradient for the unit trial (an accepted unit
+        step costs one evaluation) and on values alone below it.  Below
+        plateau values are float noise, and the first of 8 trials that
+        shrinks the gradient's metric norm squared to 0.995 of itself
+        passes."""
+        slope = float(np.einsum("bki,bki->", G, D))
         if not slope < 0:
             return None
         alpha = 1.0
@@ -268,22 +295,22 @@ class _AlmState:
                 if self.aug_value(trial) <= F + _ARMIJO_C * alpha * slope:
                     return (trial, *self.aug_value_and_grad(trial))
                 alpha *= 0.5
-        target = 0.995 * self._metric_norm(G) ** 2
+        target = 0.995 * (self._metric_norms(G) ** 2).sum()
         for _ in range(8):
             trial = X + alpha * D
             evaluation = self.aug_value_and_grad(trial)
-            if self._metric_norm(evaluation[1]) ** 2 <= target:
+            if (self._metric_norms(evaluation[1]) ** 2).sum() <= target:
                 return (trial, *evaluation)
             alpha *= 0.5
         return None
 
     def inner_minimize(self):
         """Semismooth Newton on the augmented objective (the inner step of
-        SSNAL, Li, Sun & Toh, SIAM J. Optim. 28, 2018), stopped when the
-        gradient's curve-metric norm reaches inner_tol.  The shift tau of
-        the Newton system starts at 0, grows only when a pivot is not
-        positive, and falls tenfold after each accepted step; returns the
-        last iterate's J, G and R."""
+        SSNAL, Li, Sun & Toh, SIAM J. Optim. 28, 2018), stopped when every
+        copy's gradient has curve-metric norm at most inner_tol.  The shift
+        tau of the Newton system starts at 0, grows only when a pivot is
+        not positive, and falls tenfold after each accepted step; returns
+        the last iterate's J, G and R."""
         cfg = self.cfg
         X = self.X
         F, G, J, shifted = self.aug_value_and_grad(X)
@@ -292,9 +319,9 @@ class _AlmState:
         for _ in range(cfg.inner_max_steps):
             if F <= _OBJECTIVE_FLOOR:
                 raise UnboundedError(
-                    "unbounded below at this discretization", snapshot=X.copy()
+                    "unbounded below at this discretization", snapshot=_snapshot(X)
                 )
-            if self._metric_norm(G) <= cfg.inner_tol:
+            if self._metric_norms(G).max() <= cfg.inner_tol:
                 break
             # below this scale an Armijo decrease is not representable in
             # doubles
@@ -308,13 +335,14 @@ class _AlmState:
         self.X = self.point = X
         return J, G, shifted[1]
 
-    def complementarity(self) -> float:
-        """h sum_k |mu+_k - mu_k| / rho + |s+ - s| / rho for the dual update
-        (mu+, s+) = rho R at X: zero exactly when the image is feasible and
-        mu, s lie in its normal cones."""
+    def complementarity(self) -> np.ndarray:
+        """h sum_k |mu+_k - mu_k| / rho + |s+ - s| / rho per copy, for the
+        dual update (mu+, s+) = rho R at X: zero exactly when the image is
+        feasible and mu, s lie in its normal cones."""
         RW, RE = self._shifted(self.X)[1]
-        return (self.grid.h * float(row_norms(RW - self.mu / self.rho).sum())
-                + float(np.linalg.norm(RE - self.s / self.rho)))
+        cells = row_norms((RW - self.mu / self.rho).reshape(-1, self.P.n))
+        return (self.grid.h * cells.reshape(RW.shape[:2]).sum(axis=1)
+                + np.sqrt(_dots(RE - self.s / self.rho)))
 
     def update_duals(self, RW: np.ndarray, RE: np.ndarray):
         self.mu = self.rho * RW
@@ -328,17 +356,20 @@ class _AlmState:
         converges in one outer iteration."""
         G = self.grad(self.X)  # the Lagrangian gradient at mu = 0, s = 0
         _, E = pb.constraint_image(self.P, self.grid, self.X)
-        self.s = project_normal_cone(self.P.omega2, project(self.P.omega2, E),
-                                     -np.concatenate([G[0], G[-1]]))
-        G[[0, -1]] += self.s.reshape(2, -1)
+        ends = -np.concatenate([G[:, 0], G[:, -1]], axis=1)
+        self.s = np.array([project_normal_cone(self.P.omega2, z, xi) for z, xi
+                           in zip(project(self.P.omega2, E), ends)])
+        G[:, [0, -1]] += self.s.reshape(len(G), 2, -1)
         return G
 
-    def measure(self, J: float, G: np.ndarray) -> tuple[float, float, float, float]:
-        """(objective, velocity defect, endpoint defect, stationarity) of
-        the current iterate of cost J; stationarity is the metric norm of
-        the plain-Lagrangian gradient G at (X, mu, s)."""
-        vdef, edef = pb.feasibility_residual(self.P, Trajectory(self.grid, self.X))
-        return J, vdef, edef, self._metric_norm(G)
+    def measure(self, J: float, G: np.ndarray):
+        """(objective, velocity defects, endpoint defects, stationarities)
+        of the current iterate of cost J, the last three per copy;
+        stationarity is the metric norm of the plain-Lagrangian gradient G
+        at (X, mu, s)."""
+        vdef, edef = pb.feasibility_defects(
+            self.P, self.grid, *pb.constraint_image(self.P, self.grid, self.X))
+        return J, vdef, edef, self._metric_norms(G)
 
 
 def _default_init(P: pb.ProblemSpec, grid: Grid) -> np.ndarray:
@@ -352,17 +383,21 @@ def _default_init(P: pb.ProblemSpec, grid: Grid) -> np.ndarray:
 def _run_alm(P: pb.ProblemSpec, cfg: SolverConfig, grid: Grid, value, grad,
              hess, X0: np.ndarray):
     """Minimize value(X) (node gradient grad(X), Hessian hess(X)) over the
-    constraints of P from X0.
+    constraints of P from the copies X0 (B, N+1, n).
 
-    Each iterate is measured once.  Returns the final state, the history
-    rows, whether the run converged, and the final iterate's measurement
-    (objective, velocity defect, endpoint defect, stationarity).  An
-    expression domain error or a failed projection becomes a SolverError
-    whose snapshot is the node array whose evaluation failed.
+    The copies share one penalty rho, which grows when any copy ends an
+    outer iteration infeasible, and one stop: the loop ends when every
+    copy passes the stop test at the same iterate.  A copy's converged
+    flag is its own test at the last tested iterate.  Each iterate is
+    measured once.  Returns the final state, the history rows (defects
+    are the largest over the copies), the converged flags, and the final
+    iterate's measurement (objective, velocity defects, endpoint defects,
+    stationarities).  An expression domain error or a failed projection
+    becomes a SolverError whose snapshot is the node array whose
+    evaluation failed.
     """
     state = _AlmState(P, cfg, grid, value, grad, hess, X0)
     history = []
-    converged = False
     try:
         objective, vdef, edef, stat = state.measure(
             state.value(state.X), state.initialize_endpoint_duals())
@@ -371,28 +406,29 @@ def _run_alm(P: pb.ProblemSpec, cfg: SolverConfig, grid: Grid, value, grad,
                 {
                     "outer_iter": outer,
                     "objective": objective,
-                    "velocity_defect": vdef,
-                    "endpoint_defect": edef,
+                    "velocity_defect": float(vdef.max()),
+                    "endpoint_defect": float(edef.max()),
                     "rho": state.rho,
                 }
             )
-            if (vdef + edef <= cfg.feas_tol and stat <= cfg.inner_tol
-                    and state.complementarity() <= cfg.feas_tol):
-                converged = True
+            converged = (vdef + edef <= cfg.feas_tol) & (stat <= cfg.inner_tol)
+            if converged.any():
+                converged &= state.complementarity() <= cfg.feas_tol
+            if converged.all():
                 break
             J, G, R = state.inner_minimize()
             state.update_duals(*R)
             objective, vdef, edef, stat = state.measure(J, G)
             del G, R  # no array of this iterate outlives its measurement
-            if vdef + edef > cfg.feas_tol:
+            if (vdef + edef > cfg.feas_tol).any():
                 state.rho *= cfg.penalty_growth
     except pb.ex.ExprDomainError as err:
         raise SolverError(
-            f"expression domain error: {err}", snapshot=state.point.copy()
+            f"expression domain error: {err}", snapshot=_snapshot(state.point)
         ) from err
     except ConvexSetError as err:
         raise SolverError(
-            f"projection failed: {err}", snapshot=state.point.copy()
+            f"projection failed: {err}", snapshot=_snapshot(state.point)
         ) from err
     return state, history, converged, (objective, vdef, edef, stat)
 
@@ -418,38 +454,60 @@ def solve(
         X0 = _default_init(P, grid)
     state, history, converged, (objective, vdef, edef, stat) = _run_alm(
         P, cfg, grid,
-        lambda X: pb.cost(P, grid, X), lambda X: pb.cost_gradient(P, grid, X),
-        lambda blocks, X: pb.add_cost_hessian(blocks, P, grid, X), X0,
+        lambda X: pb.cost(P, grid, X[0]),
+        lambda X: pb.cost_gradient(P, grid, X[0])[None],
+        lambda blocks, X: pb.add_cost_hessian(blocks, P, grid, X[0]), X0[None],
     )
     n = P.n
     return SolveResult(
-        x=Trajectory(grid, state.X),
-        mu=CellPath(grid, state.mu),
-        s1=state.s[:n].copy(),
-        s2=state.s[n:].copy(),
-        converged=converged,
+        x=Trajectory(grid, state.X[0]),
+        mu=CellPath(grid, state.mu[0]),
+        s1=state.s[0, :n].copy(),
+        s2=state.s[0, n:].copy(),
+        converged=bool(converged[0]),
         objective=objective,
-        stationarity=stat,
-        velocity_defect=vdef,
-        endpoint_defect=edef,
+        stationarity=float(stat[0]),
+        velocity_defect=float(vdef[0]),
+        endpoint_defect=float(edef[0]),
         history=history,
     )
 
 
-def restore_feasibility(
-    P: pb.ProblemSpec, x: Trajectory, cfg: SolverConfig
-) -> RestoreResult:
-    """Project x toward the feasible set: minimize half the squared
-    deviation (initial value and velocities) over feasible curves and
-    report the ac-norm gap, an upper bound for the ac-distance of x from
-    the feasible set at this discretization.
+# nodes restored in one ALM: the copies of a restoration run then take
+# about the memory of one solve on a fine grid
+_RESTORE_NODES = 2 ** 14
 
-    A nonconverged restoration still returns its best curve, with
-    converged=False marking the bound unverified.
+
+def restore_feasibility(
+    P: pb.ProblemSpec, xs: list, cfg: SolverConfig
+) -> list:
+    """Project each curve of xs toward the feasible set: minimize half the
+    squared deviation (initial value and velocities) over feasible curves
+    and report the ac-norm gap, an upper bound for the ac-distance of the
+    curve from the feasible set at this discretization.  Returns one
+    RestoreResult per curve, in order.
+
+    The curves share one grid, and up to _RESTORE_NODES / (N + 1) of them
+    (at least one) are restored as copies of one ALM.  A nonconverged
+    restoration still returns its best curve, with converged=False marking
+    the bound unverified.
     """
-    pb._check_grid(P, x)
-    grid = x.grid
-    state, _, converged, _ = _run_alm(
-        P, cfg, grid, *_restore_objective(x), x.values.copy())
-    y = Trajectory(grid, state.X)
-    return RestoreResult(y=y, ac_gap=ac_norm(y - x), converged=converged)
+    results = []
+    for x in xs:
+        pb._check_grid(P, x)
+        if not x.grid.compatible(xs[0].grid):
+            raise SolverError("curves to restore must share one grid")
+    if not xs:
+        return results
+    grid = xs[0].grid
+    copies = max(1, _RESTORE_NODES // (grid.N + 1))
+    for start in range(0, len(xs), copies):
+        chunk = xs[start : start + copies]
+        X_ref = np.stack([x.values for x in chunk])
+        state, _, converged, _ = _run_alm(
+            P, cfg, grid, *_restore_objective(grid, X_ref), X_ref)
+        for x, Y, ok in zip(chunk, state.X, converged):
+            y = Trajectory(grid, Y)
+            results.append(RestoreResult(y=y, ac_gap=ac_norm(y - x),
+                                         converged=bool(ok)))
+    return results

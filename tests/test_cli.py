@@ -411,6 +411,46 @@ def test_non_finite_multiplier_file_exits_two(workdir, capsys, s1, s2):
     assert "m.json" in err and "finite" in err
     assert not os.path.exists("line.certificate.json")
 
+HUGE = 10 ** 400  # a JSON integer literal beyond the largest double
+
+
+def _huge_row(path):
+    payload = jsonio.trajectory_to_json(_write_line(path, N=20))
+    payload["values"][7] = [HUGE]
+    path.write_text(json.dumps(payload), encoding="utf-8")
+
+
+def _huge_problem(path, field, literal=str(HUGE)):
+    payload = jsonio.problem_to_json(get_case("p1").problem)
+    if field == "T":
+        payload["T"] = "LITERAL"
+    else:
+        payload["omega2"]["point"][1] = "LITERAL"
+    path.write_text(json.dumps(payload).replace('"LITERAL"', literal),
+                    encoding="utf-8")
+
+
+@pytest.mark.parametrize("argv", [
+    ["norms", "huge.json"],
+    ["verify", "p1.json", "huge.json"],
+    ["solve", "p1.json", "--grid", "20", "--warm-start", "huge.json"],
+    ["solve", "huge-T.json"],
+    ["solve", "huge-point.json"],
+    ["solve", "long-T.json"],
+], ids=["norms", "verify", "warm-start", "problem-T", "singleton-point",
+        "over-digit-limit"])
+def test_huge_integer_literal_exits_two(workdir, capsys, argv):
+    # the last literal has more digits than Python 3.11+ parses as an int
+    _write_case(workdir / "p1.json", "p1")
+    _huge_row(workdir / "huge.json")
+    _huge_problem(workdir / "huge-T.json", "T")
+    _huge_problem(workdir / "huge-point.json", "point")
+    _huge_problem(workdir / "long-T.json", "T", "1" + "0" * 5000)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {argv[-1]}: ")  # the file with the literal
+
+
 def test_infinite_lipschitz_modulus_exits_two(workdir, capsys):
     payload = jsonio.problem_to_json(get_case("p2").problem)
     payload["lipschitz_ell"] = "inf"

@@ -88,3 +88,32 @@ def test_probe_records_expose_ratio_components():
             assert record.ratio == pytest.approx(
                 record.lhs_upper_bound / record.rhs_defect
             )
+
+
+def test_probe_with_more_copies_than_one_alm_holds(monkeypatch):
+    # a working set of 3 copies splits the restorations into several ALMs;
+    # every record is the one of the single ALM, in sample order
+    case = get_case("p2")
+    grid = Grid(1.0, 40)
+    whole = cq.probe_kappa(case.problem, _line(grid), samples=10, delta=0.1,
+                           seed=5, cfg=_cfg(40))
+    restored = whole.admitted + whole.dropped_nonconverged
+    assert restored > 3
+    runs = []
+    original = sv._run_alm
+
+    def counted(*args):
+        runs.append(len(args[-1]))
+        return original(*args)
+
+    monkeypatch.setattr(sv, "_run_alm", counted)
+    monkeypatch.setattr(sv, "_RESTORE_NODES", 3 * (grid.N + 1) + 2)
+    split = cq.probe_kappa(case.problem, _line(grid), samples=10, delta=0.1,
+                           seed=5, cfg=_cfg(40))
+    assert runs == [3] * (restored // 3) + [restored % 3] * (restored % 3 > 0)
+    assert split.dropped_nonconverged == whole.dropped_nonconverged
+    assert len(split.records) == len(whole.records)
+    for a, b in zip(split.records, whole.records):
+        assert a.rhs_defect == b.rhs_defect
+        assert a.ratio == pytest.approx(b.ratio, rel=1e-9)
+    assert split.kappa_hat == pytest.approx(whole.kappa_hat, rel=1e-9)

@@ -342,6 +342,16 @@ def test_feasibility_zero_iff_pointwise_feasible():
     assert e > 1e-3
 
 
+@pytest.mark.parametrize("omega1", [Box([-1.0], [1.0]), Reals(1)], ids=["box", "reals"])
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_feasibility_rejects_an_overflowing_drift(omega1):
+    # exp overflows to inf at x = 800: the velocity part is not a number to
+    # measure, whatever the set
+    P = _make(g=("exp(x1)",), omega1=omega1)
+    with pytest.raises(ValueError, match="non-finite"):
+        pb.feasibility_residual(P, _line(Grid(1.0, 4), slope=0.0, offset=800.0))
+
+
 # ---------------------------------------------------------------------------
 # validation / dataclass
 
