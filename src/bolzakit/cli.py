@@ -312,7 +312,7 @@ def _cmd_check_derivatives(args) -> int:
                 pb.ReducedImage(CellPath(grid, dv), de)
             )
             worst_lin = max(worst_lin, defect / eps)
-    except (ExprError, ConvexSetError) as err:
+    except (pb.ProblemError, ExprError, ConvexSetError) as err:
         raise _CliError(f"derivative check failed to run: {err}") from err
     payload = {
         "directions": args.directions,
@@ -388,22 +388,15 @@ def _cmd_catalog(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="bolzakit",
-        description="Solve and certify Bolza problems with velocity constraints",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("solve", help="solve a problem file")
+def _solve_arguments(p: argparse.ArgumentParser):
     p.add_argument("problem")
     p.add_argument("--warm-start", help="trajectory JSON used as initial iterate")
     p.add_argument("--out-dir", default=".")
     p.add_argument("--prefix", help="output file prefix (default: problem stem)")
     _add_solver_flags(p)
-    p.set_defaults(func=_cmd_solve)
 
-    p = sub.add_parser("verify", help="certify a candidate bundle")
+
+def _verify_arguments(p: argparse.ArgumentParser):
     p.add_argument("problem")
     p.add_argument("trajectory")
     p.add_argument("--multipliers", help="multipliers JSON (mu, s1, s2)")
@@ -420,9 +413,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol-transversality", type=_TOLERANCE)
     p.add_argument("--tol-mu", type=_TOLERANCE)
     p.add_argument("--tol-support-zero", type=_TOLERANCE)
-    p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("probe-cq", help="sample the subregularity modulus")
+
+def _probe_cq_arguments(p: argparse.ArgumentParser):
     p.add_argument("problem")
     p.add_argument("trajectory")
     p.add_argument("--samples", type=_POSITIVE_INT, default=50)
@@ -430,33 +423,62 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=_SEED, default=0)
     p.add_argument("--out")
     _add_solver_flags(p)
-    p.set_defaults(func=_cmd_probe_cq)
 
-    p = sub.add_parser("check-derivatives", help="finite-difference checks")
+
+def _check_derivatives_arguments(p: argparse.ArgumentParser):
     p.add_argument("problem")
     p.add_argument("trajectory")
     p.add_argument("--directions", type=_POSITIVE_INT, default=20)
     p.add_argument("--eps", type=_POSITIVE, default=1e-5)
     p.add_argument("--seed", type=_SEED, default=0)
     p.add_argument("--out")
-    p.set_defaults(func=_cmd_check_derivatives)
 
-    p = sub.add_parser("norms", help="curve norms of a trajectory file")
+
+def _norms_arguments(p: argparse.ArgumentParser):
     p.add_argument("trajectory")
     p.add_argument("--out")
-    p.set_defaults(func=_cmd_norms)
 
-    p = sub.add_parser("catalog", help="list or export built-in benchmarks")
+
+def _catalog_arguments(p: argparse.ArgumentParser):
     p.add_argument("case", nargs="?", help="case id to export (p1..p4)")
     p.add_argument("--out-dir", default=".")
-    p.set_defaults(func=_cmd_catalog)
 
+
+# name: (help, arguments, handler), in the order of the usage line
+_COMMANDS = {
+    "solve": ("solve a problem file", _solve_arguments, _cmd_solve),
+    "verify": ("certify a candidate bundle", _verify_arguments, _cmd_verify),
+    "probe-cq": ("sample the subregularity modulus", _probe_cq_arguments,
+                 _cmd_probe_cq),
+    "check-derivatives": ("finite-difference checks",
+                          _check_derivatives_arguments, _cmd_check_derivatives),
+    "norms": ("curve norms of a trajectory file", _norms_arguments, _cmd_norms),
+    "catalog": ("list or export built-in benchmarks", _catalog_arguments,
+                _cmd_catalog),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The command-line parser.  Every subcommand is listed with its help;
+    with a command name only that one gets its arguments, which is all a
+    command line starting with it can reach."""
+    parser = argparse.ArgumentParser(
+        prog="bolzakit",
+        description="Solve and certify Bolza problems with velocity constraints",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, add_arguments, handler) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        if command is None or command == name:
+            add_arguments(p)
+        p.set_defaults(func=handler)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    args = build_parser(command).parse_args(argv)
     try:
         return args.func(args)
     except _CliError as err:

@@ -12,8 +12,9 @@ observed ratio.  The result is a lower estimate of any valid kappa (up
 to restoration slack) and never a proof that the qualification holds.
 
 The restorations are independent, so the probe draws every perturbation
-first and restores the active ones as the copies of one ALM (a few ALMs
-on fine grids).  They share the penalty and the stop; each copy's
+first, measures the defects of all of them in one constraint image, and
+restores the active ones as the copies of one ALM (a few ALMs on fine
+grids).  They share the penalty and the stop; each copy's
 converged flag is its own stop test, and a sample whose restoration did
 not converge is dropped as before.
 """
@@ -82,36 +83,36 @@ def probe_kappa(
         )
     rng = np.random.default_rng(seed)
     grid = xbar.grid
-    draws = []  # (curve, defect) per sample, None for a null perturbation
+    curves = []
     for _ in range(samples):
         d = random_trajectory(grid, P.n, rng)
         norm = ac_norm(d)
-        if norm < 1e-14:
-            draws.append(None)
+        if norm < 1e-14:  # a null perturbation is excluded
             continue
-        x = xbar + (delta / norm) * d
-        draws.append((x, sum(pb.feasibility_residual(P, x))))
-    active = [draw[0] for draw in draws if draw is not None and draw[1] > _RHS_FLOOR]
+        curves.append(xbar + (delta / norm) * d)
+    rhs = []  # the constraint defect of each curve
+    if curves:
+        W, E = pb.finite_constraint_image(
+            P, grid, np.stack([x.values for x in curves]))
+        vel, ends = pb.feasibility_defects(P, grid, W, E)
+        rhs = (vel + ends).tolist()
+    active = [x for x, r in zip(curves, rhs) if r > _RHS_FLOOR]
     restored = iter(restore_feasibility(P, active, cfg))
     records: list[CqSample] = []
     kappa_hat: float | None = None
-    excluded = 0
+    excluded = samples - len(curves)
     dropped = 0
-    for draw in draws:
-        if draw is None:
+    for r in rhs:
+        if r <= _RHS_FLOOR:
             excluded += 1
-            continue
-        rhs = draw[1]
-        if rhs <= _RHS_FLOOR:
-            excluded += 1
-            records.append(CqSample(delta, 0.0, rhs, None))
+            records.append(CqSample(delta, 0.0, r, None))
             continue
         res = next(restored)
         if not res.converged:
             dropped += 1
             continue
-        ratio = res.ac_gap / rhs
-        records.append(CqSample(delta, res.ac_gap, rhs, ratio))
+        ratio = res.ac_gap / r
+        records.append(CqSample(delta, res.ac_gap, r, ratio))
         kappa_hat = ratio if kappa_hat is None else max(kappa_hat, ratio)
     admitted = sum(1 for r in records if r.ratio is not None)
     caveat = (

@@ -133,8 +133,8 @@ class CellPath:
 
 
 def row_norms(arr: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each row of a 2-D array."""
-    return np.sqrt(np.einsum("ij,ij->i", arr, arr))
+    """Euclidean norm of each row (last axis) of an array."""
+    return np.sqrt(np.einsum("...i,...i->...", arr, arr))
 
 
 def ac_norm(x: Trajectory) -> float:
@@ -153,11 +153,13 @@ def tail_sums(G: np.ndarray) -> np.ndarray:
     return np.cumsum(G[..., ::-1, :], axis=-2)[..., ::-1, :]
 
 
-def ac_dual_norm(G: np.ndarray) -> float:
+def ac_dual_norm(G: np.ndarray) -> float | np.ndarray:
     """Dual of ac_norm under the node pairing <G, u> = sum_k <G_k, u_k>:
     the largest row norm of tail_sums(G).  A unit step u_m = e for m >= k,
-    at the row k where it is attained, reaches it."""
-    return float(row_norms(tail_sums(G)).max())
+    at the row k where it is attained, reaches it.  Leading axes are
+    copies, with one norm each."""
+    norms = row_norms(tail_sums(G)).max(axis=-1)
+    return float(norms) if norms.ndim == 0 else norms
 
 
 def one_one_norm(x: Trajectory) -> float:

@@ -315,7 +315,14 @@ def sanitize(value):
 
 
 def dumps(obj) -> str:
-    return json.dumps(sanitize(obj), indent=2, allow_nan=False) + "\n"
+    """Compact strict JSON, one line.  Only an object the C encoder refuses
+    (a non-finite float, a numpy scalar that is not a float) goes through
+    sanitize."""
+    try:
+        text = json.dumps(obj, allow_nan=False)
+    except (TypeError, ValueError):
+        text = json.dumps(sanitize(obj), allow_nan=False)
+    return text + "\n"
 
 
 def atomic_write_text(path: str, text: str):

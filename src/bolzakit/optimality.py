@@ -343,11 +343,11 @@ def certify(
         raise pb.ProblemError("endpoint multipliers must have the state dimension")
 
     notes: list[str] = []
-    vdef, edef = pb.feasibility_residual(P, x)
+    grid = x.grid
+    W, E = pb.finite_constraint_image(P, grid, x.values)
+    vdef, edef = (float(d) for d in pb.feasibility_defects(P, grid, W, E))
     feasible = (vdef + edef) <= tol.feasibility
 
-    grid = x.grid
-    W, E = pb.constraint_image(P, grid, x.values)
     W = project(P.omega1, W)
     theta_x, theta_v = P.theta_grad_cells(*pb._cells(grid, x.values))
     el_scale = 1.0 + float(

@@ -12,10 +12,12 @@ constraint_image, constraint_adjoint); the solver calls them directly
 and the Trajectory functions call them after checking their arguments.
 Beside them, add_cost_hessian and add_constraint_hessian assemble the
 second derivatives, per cell in (x_k, v_k), in place into the
-block-tridiagonal node matrix of the solver's Newton step.  The constraint
-kernels, the feasibility defects and the node matrix take a leading copy
-axis, so that one solver run treats B independent curves at once; the
-expression programs then run once on the B N cells of all copies.
+block-tridiagonal node matrix of the solver's Newton step.  The cost
+gradient, the constraint kernels, the feasibility defects and the node
+matrix take a leading copy axis, so that one solver run treats B
+independent curves at once and estimate_lipschitz evaluates its sample
+points in a few calls; the expression programs then run once on the B N
+cells of all copies.
 
 Quadrature convention: cell integrands are evaluated at the left node in
 (t, x) with the exact cell velocity, i.e. a rectangle rule that is
@@ -111,11 +113,7 @@ class ProblemSpec:
         integer array ``index`` places output index[i] at out[:, i] of a
         (rows, *index.shape) array instead, with one row, which broadcasts
         over the cells, when all those outputs are constants."""
-        env = {"t": t}
-        for prefix, block in blocks.items():
-            for i in range(self.n):
-                env[f"{prefix}{i + 1}"] = block[..., i]
-        values = ex.run_program(program, env)
+        values = self._evaluate(program, t, **blocks)
         if index is None:
             index = np.arange(len(values))
         elif all(np.ndim(values[j]) == 0 for j in index.flat):
@@ -125,12 +123,26 @@ class ProblemSpec:
             out[(slice(None), *pos)] = values[index[pos]]
         return out
 
+    def _evaluate(self, program: ex.Program, t, **blocks) -> list:
+        """The program's outputs, with names bound as in _run."""
+        env = {"t": t}
+        for prefix, block in blocks.items():
+            for i in range(self.n):
+                env[f"{prefix}{i + 1}"] = block[..., i]
+        return ex.run_program(program, env)
+
     def theta_cells(self, t, X, V) -> np.ndarray:
         return self._run(self._theta, len(t), t, x=X, v=V)[:, 0]
 
     def theta_grad_cells(self, t, X, V) -> tuple[np.ndarray, np.ndarray]:
-        out = self._run(self._theta_grad, len(t), t, x=X, v=V)
-        return out[:, : self.n], out[:, self.n :]
+        """(theta_x, theta_v) per cell, each a contiguous (cells, n) array,
+        so that the node scatters run over flat arrays."""
+        values = self._evaluate(self._theta_grad, t, x=X, v=V)
+        n = self.n
+        halves = np.empty((2, len(t), n))
+        for j, value in enumerate(values):
+            halves[j // n, :, j % n] = value
+        return halves[0], halves[1]
 
     def g_cells(self, t, X) -> np.ndarray:
         return self._run(self._g, len(t), t, x=X)
@@ -146,8 +158,12 @@ class ProblemSpec:
         return float(self._run(self._phi, 1, None, x0_=x0, xT_=xT)[0, 0])
 
     def phi_gradients(self, x0, xT) -> tuple[np.ndarray, np.ndarray]:
-        out = self._run(self._phi_grad, 1, None, x0_=x0, xT_=xT)[0]
-        return out[: self.n], out[self.n :]
+        """(phi_x0, phi_xT) at endpoint rows x0 and xT of shape (..., n);
+        leading axes are copies."""
+        lead = np.shape(x0)[:-1]
+        out = self._run(self._phi_grad, math.prod(lead), None, x0_=x0, xT_=xT)
+        out = out.reshape(*lead, 2 * self.n)
+        return out[..., : self.n], out[..., self.n :]
 
     # ---- second derivatives, compiled on first use ---------------------
 
@@ -235,10 +251,11 @@ def _check_grid(P: ProblemSpec, x: Trajectory):
 
 
 # ---- kernels on node arrays ---------------------------------------------
-# X has shape (N+1, n) on `grid`; the constraint kernels also take copies
-# (B, N+1, n), with cell arrays (B, N, n) and endpoint pairs (B, 2n).  The
-# kernels check nothing and accept non-finite values: the solver evaluates
-# line-search trials with them, while a Trajectory rejects non-finite nodes.
+# X has shape (N+1, n) on `grid`; cost_gradient and the constraint kernels
+# also take copies (B, N+1, n), with cell arrays (B, N, n) and endpoint
+# pairs (B, 2n).  The kernels check nothing and accept non-finite values:
+# the solver evaluates line-search trials with them, while a Trajectory
+# rejects non-finite nodes and finite_constraint_image a non-finite image.
 
 
 def _cells(grid: Grid, X: np.ndarray):
@@ -273,16 +290,17 @@ def cost(P: ProblemSpec, grid: Grid, X: np.ndarray) -> float:
 
 
 def cost_gradient(P: ProblemSpec, grid: Grid, X: np.ndarray) -> np.ndarray:
-    """Node gradient of J_h, shape (N+1, n)."""
+    """Node gradient of J_h, shape (N+1, n), per copy."""
     t, XL, V = _cells(grid, X)
-    theta_x, theta_v = P.theta_grad_cells(t, XL, V)
-    gx0, gxT = P.phi_gradients(X[0], X[-1])
+    theta_x, theta_v = (_per_copy(half, X)
+                        for half in P.theta_grad_cells(t, XL, V))
+    gx0, gxT = P.phi_gradients(X[..., 0, :], X[..., -1, :])
     grad = np.zeros_like(X)
-    grad[:-1] += grid.h * theta_x
-    grad[:-1] -= theta_v
-    grad[1:] += theta_v
-    grad[0] += gx0
-    grad[-1] += gxT
+    grad[..., :-1, :] += grid.h * theta_x
+    grad[..., :-1, :] -= theta_v
+    grad[..., 1:, :] += theta_v
+    grad[..., 0, :] += gx0
+    grad[..., -1, :] += gxT
     return grad
 
 
@@ -311,6 +329,22 @@ def constraint_adjoint(
     out[..., 0, :] += S[..., :n]
     out[..., -1, :] += S[..., n:]
     return out
+
+
+def finite_constraint_image(
+    P: ProblemSpec, grid: Grid, X: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """constraint_image of curves given as data, per copy: ProblemError
+    when the velocity part is not finite (a drift that overflows at the
+    curve), naming the first such cell."""
+    W, E = constraint_image(P, grid, X)
+    bad = ~np.isfinite(W).all(axis=-1)
+    if bad.any():
+        k = int(np.argmax(bad.reshape(-1))) % grid.N
+        raise ProblemError(
+            f"velocity part x' + g(t, x) is non-finite at cell {k} "
+            f"(t = {grid.cell_lefts()[k]:.6g}): the drift overflows there")
+    return W, E
 
 
 def feasibility_defects(P: ProblemSpec, grid: Grid, W: np.ndarray, E: np.ndarray):
@@ -420,9 +454,10 @@ def gateaux_J(P: ProblemSpec, x: Trajectory, u: Trajectory) -> float:
 
 
 def apply_constraint(P: ProblemSpec, x: Trajectory) -> ReducedImage:
-    """Constraint image: w_k = v_k + g(t_k, x_k) and (x_0, x_N)."""
+    """Constraint image: w_k = v_k + g(t_k, x_k) and (x_0, x_N); see
+    finite_constraint_image."""
     _check_grid(P, x)
-    W, endpoints = constraint_image(P, x.grid, x.values)
+    W, endpoints = finite_constraint_image(P, x.grid, x.values)
     return ReducedImage(CellPath(x.grid, W), endpoints)
 
 
@@ -471,6 +506,12 @@ def _sample_direction(grid: Grid, n: int, rng: np.random.Generator) -> np.ndarra
     return powers @ coeffs
 
 
+# nodes in one cost_gradient call of estimate_lipschitz: its 41 points go
+# in a few calls at N = 200 and one by one on fine grids, where wider
+# calls made the estimate slower
+_LIPSCHITZ_NODES = 2 ** 12
+
+
 def estimate_lipschitz(
     P: ProblemSpec,
     xbar: Trajectory,
@@ -484,23 +525,42 @@ def estimate_lipschitz(
     Returns 1.5x the largest slope at xbar and at the points xbar +- step
     for ``samples`` random steps of ac-norm r, uniform in [0.2, 1] times
     0.1 * (1 + ||xbar||_ac).  Flagged as an estimate.
+
+    The points are evaluated as the copies of one cost_gradient call, up
+    to _LIPSCHITZ_NODES / (N + 1) of them (at least one) at a time; the
+    steps are drawn in the same order whatever the chunk size, so the
+    estimate does not depend on it.
     """
     if P.lipschitz_ell is not None:
         return LipschitzEstimate(P.lipschitz_ell, "declared")
     _check_grid(P, xbar)
     rng = np.random.default_rng(seed)
     grid, X = xbar.grid, xbar.values
-
-    def slope(Y: np.ndarray) -> float:
-        return ac_dual_norm(cost_gradient(P, grid, Y))
-
     radius = 0.1 * (1.0 + ac_norm(xbar))
-    best = slope(X)
-    for _ in range(samples):
-        d = _sample_direction(grid, P.n, rng)
-        norm_d = ac_norm(Trajectory(grid, d))
-        if norm_d < 1e-12:
-            continue
-        step = (radius * rng.uniform(0.2, 1.0) / norm_d) * d
-        best = max(best, slope(X + step), slope(X - step))
-    return LipschitzEstimate(1.5 * best, "estimated")
+
+    def points():
+        yield X
+        for _ in range(samples):
+            d = _sample_direction(grid, P.n, rng)
+            norm_d = ac_norm(Trajectory(grid, d))
+            if norm_d < 1e-12:
+                continue
+            step = (radius * rng.uniform(0.2, 1.0) / norm_d) * d
+            yield X + step
+            yield X - step
+
+    def slopes(Y: np.ndarray) -> list:
+        return ac_dual_norm(cost_gradient(P, grid, Y)).tolist()
+
+    copies = min(max(1, _LIPSCHITZ_NODES // (grid.N + 1)), 1 + 2 * samples)
+    chunk = np.empty((copies, *X.shape))
+    found, count = [], 0
+    for Y in points():
+        chunk[count] = Y
+        count += 1
+        if count == len(chunk):
+            found += slopes(chunk)
+            count = 0
+    if count:
+        found += slopes(chunk[:count])
+    return LipschitzEstimate(1.5 * max(found), "estimated")

@@ -316,6 +316,56 @@ def test_check_derivatives_domain_error_exits_two(workdir, capsys):
     assert not os.path.exists("line.derivcheck.json")
 
 
+@pytest.mark.parametrize("argv, prefix", [
+    (["verify", "exp.json", "line.json"], "error: verification failed to run: "),
+    (["verify", "exp.json", "line.json", "--kappa", "10"],
+     "error: verification failed to run: "),
+    (["check-derivatives", "exp.json", "line.json"],
+     "error: derivative check failed to run: "),
+], ids=["verify", "verify-kappa", "check-derivatives"])
+def test_drift_overflowing_at_the_candidate_exits_two(workdir, capsys, argv,
+                                                      prefix):
+    # exp(800) overflows: the velocity part is no number to measure, which is
+    # bad input (exit 2), not a failed certificate (exit 1)
+    problem = {
+        "version": 1, "n": 1, "T": 1.0, "terminal_cost": "0",
+        "running_cost": "v1^2/2", "drift": ["exp(x1)"],
+        "omega1": {"type": "reals", "dim": 1},
+        "omega2": {"type": "reals", "dim": 2},
+    }
+    (workdir / "exp.json").write_text(json.dumps(problem), encoding="utf-8")
+    _write_line(workdir / "line.json", N=4, slope=0.0, offset=800.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(prefix)
+    assert "non-finite at cell 0 (t = 0)" in err
+    assert not os.path.exists("line.certificate.json")
+    assert not os.path.exists("line.derivcheck.json")
+
+
+@pytest.mark.parametrize("argv", [
+    ["--help"],
+    *([command, "--help"] for command in cli._COMMANDS),
+    ["frobnicate", "p1.json"],
+    ["verify", "p1.json"],
+    ["solve", "p1.json", "--grid", "many"],
+    [],
+], ids=lambda argv: " ".join(argv) or "empty")
+def test_parser_for_one_command_matches_the_full_parser(capsys, argv):
+    # main builds only the named command's arguments; help, usage errors and
+    # exit codes are those of the parser with every command built
+    def run(parse):
+        with pytest.raises(SystemExit) as exc:
+            parse(argv)
+        out = capsys.readouterr()
+        return exc.value.code, out.out, out.err
+
+    full = run(lambda args: cli.build_parser().parse_args(args))
+    assert run(main) == full
+    assert full[1] or full[2]
+
+
 def _exit_code(argv):
     try:
         return main(argv)

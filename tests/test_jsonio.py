@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 
 import bolzakit.jsonio as jsonio
+from bolzakit.catalog import get_case
+from bolzakit.funspace import CellPath, Grid, Trajectory
+from bolzakit.optimality import certify
 
 HUGE = "1" + "0" * 400  # an integer literal beyond the largest double
 
@@ -69,3 +72,43 @@ def test_rows_match_the_elementwise_reading():
 def test_one_column_trajectory_accepts_flat_rows():
     x = jsonio.trajectory_from_json({"T": 2.0, "n": 1, "values": [0, 0.5, 1]})
     assert x.values.shape == (3, 1) and x.values[1, 0] == 0.5
+
+
+def _indented_dumps(obj) -> str:
+    """The indented writer that the compact one replaced: the reference."""
+    return json.dumps(jsonio.sanitize(obj), indent=2, allow_nan=False) + "\n"
+
+
+def _outputs(which):
+    """A file object of each kind the commands write, with the values that
+    strict JSON cannot hold: inf, nan and numpy scalars."""
+    grid = Grid(2.0, 7)
+    rng = np.random.default_rng(2)
+    if which == "trajectory":
+        return jsonio.trajectory_to_json(Trajectory(grid, rng.standard_normal((8, 3))))
+    if which == "multipliers":
+        return jsonio.multipliers_to_json(
+            CellPath(grid, rng.standard_normal((7, 2))),
+            np.array([np.inf, 1.0]), np.array([-np.inf, np.float32(0.1)]))
+    # an infeasible candidate: infinite pointwise residuals
+    case = get_case("p2")
+    grid = Grid(case.problem.T, 30)
+    x = case.x_star(grid)
+    report = certify(case.problem, 1.1 * x, CellPath(grid, np.zeros((30, 1))),
+                     None, None, kappa=10.0).to_dict()
+    report["tolerances"]["el"] = float("nan")
+    report["notes"].append(np.int64(3))
+    return report
+
+
+@pytest.mark.parametrize("which, strings", [
+    ("trajectory", []),
+    ("multipliers", ['"inf"', '"-inf"']),
+    ("certificate", ['"inf"', '"nan"']),
+])
+def test_compact_output_parses_as_the_indented_one(which, strings):
+    obj = _outputs(which)
+    text = jsonio.dumps(obj)
+    assert text.endswith("}\n") and text.count("\n") == 1
+    assert json.loads(text) == json.loads(_indented_dumps(obj))
+    assert all(s in text for s in strings)

@@ -183,6 +183,109 @@ def test_estimate_lipschitz_evaluates_no_cost(monkeypatch):
     assert est.value > 0 and est.provenance == "estimated"
 
 
+def test_cost_gradient_copies_match_one_curve_calls():
+    # curved theta in (t, x, v) and a terminal cost in both endpoints: every
+    # part of the node scatter is exercised on each copy
+    P = _make(n=2, theta="v1^2/2+sin(x1)*v2+x2^2*cos(t)+exp(x1*v1)/4",
+              phi="x0_1^2+xT_1*xT_2+cos(xT_2)", g=("0", "0"))
+    grid = Grid(1.3, 37)
+    rng = np.random.default_rng(8)
+    X = 0.5 * rng.standard_normal((4, grid.N + 1, 2))
+    G = pb.cost_gradient(P, grid, X)
+    assert G.shape == X.shape
+    for b in range(len(X)):
+        assert np.array_equal(G[b], pb.cost_gradient(P, grid, X[b]))
+
+
+def _estimate_point_by_point(P, xbar, samples, seed):
+    """The estimate one point at a time: the reference for the chunked
+    evaluation."""
+    rng = np.random.default_rng(seed)
+    grid, X = xbar.grid, xbar.values
+
+    def slope(Y):
+        return ac_dual_norm(pb.cost_gradient(P, grid, Y))
+
+    radius = 0.1 * (1.0 + ac_norm(xbar))
+    best = slope(X)
+    for _ in range(samples):
+        d = pb._sample_direction(grid, P.n, rng)
+        norm_d = ac_norm(Trajectory(grid, d))
+        if norm_d < 1e-12:
+            continue
+        step = (radius * rng.uniform(0.2, 1.0) / norm_d) * d
+        best = max(best, slope(X + step), slope(X - step))
+    return 1.5 * best
+
+
+def _near_curve(P, N, seed):
+    grid = Grid(P.T, N)
+    rng = np.random.default_rng(seed)
+    ramp = np.outer(grid.nodes(), np.linspace(0.5, 1.0, P.n))
+    return Trajectory(grid, ramp + 0.01 * rng.standard_normal((N + 1, P.n)))
+
+
+@pytest.mark.parametrize("which, N, samples, calls", [
+    ("p2", 200, 20, 3),  # 20 points a call: 20, 20 and a partial 1
+    ("box", 97, 20, 1),  # 41 points a call: exactly one full call
+    ("box", 4100, 3, 7),  # N + 1 beyond the chunk: one point a call
+    ("p2", 40, 200, 5),  # 99 points a call, the last partial
+])
+def test_estimate_matches_the_point_by_point_loop(monkeypatch, which, N, samples,
+                                                  calls):
+    P = _box_problem() if which == "box" else get_case(which).problem
+    x = _near_curve(P, N, seed=N)
+    expected = [_estimate_point_by_point(P, x, samples, seed) for seed in (0, 7)]
+    real = pb.cost_gradient
+    copies = []
+
+    def counted(P_, grid, X):
+        copies.append(len(X))
+        return real(P_, grid, X)
+
+    monkeypatch.setattr(pb, "cost_gradient", counted)
+    for seed, value in zip((0, 7), expected):
+        est = pb.estimate_lipschitz(P, x, samples=samples, seed=seed)
+        assert est.value.hex() == value.hex()
+    assert len(copies) == 2 * calls
+    assert max(copies) == max(1, pb._LIPSCHITZ_NODES // (N + 1))
+
+
+def test_estimate_keeps_the_draw_order_past_a_null_direction(monkeypatch):
+    # a null direction draws no step scale; the chunked estimate must skip
+    # it in the same place as the loop
+    real = pb._sample_direction
+    draws = []
+
+    def sometimes_null(grid, n, rng):
+        d = real(grid, n, rng)
+        draws.append(None)
+        return 0.0 * d if len(draws) % 3 == 0 else d
+
+    monkeypatch.setattr(pb, "_sample_direction", sometimes_null)
+    P = get_case("p2").problem
+    x = _near_curve(P, 200, seed=3)
+    expected = _estimate_point_by_point(P, x, 20, seed=1)
+    assert pb.estimate_lipschitz(P, x, samples=20, seed=1).value == expected
+
+
+@pytest.mark.parametrize("N", [200, 1000, 4000])
+def test_estimate_memory_stays_bounded(N):
+    # the points are evaluated in chunks of at most _LIPSCHITZ_NODES nodes,
+    # never all at once: the box estimate stays under 1 MB at every grid
+    import tracemalloc
+
+    P = _box_problem()
+    x = _near_curve(P, N, seed=1)
+    tracemalloc.start()
+    try:
+        pb.estimate_lipschitz(P, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5e6
+
+
 # ---------------------------------------------------------------------------
 # constraint map
 
