@@ -407,15 +407,18 @@ def _may_fail(e: Unary | Binary) -> bool:
 
 
 def run_program(program: Program, env: dict) -> list:
-    """Values of the compiled trees under env, in compile order."""
+    """Values of the compiled trees under env, in compile order.  Floating
+    point exceptions (an exp that overflows) give inf or nan silently: the
+    callers check their values for finiteness where that matters."""
     vals = [env, *program.slots[1:]]
     try:
-        for out, fn, a, b, free, test, node in program.steps:
-            if test is not None and test[1](vals[test[0]], 0.0).any():
-                raise ExprDomainError(test[2], node)
-            vals[out] = fn(vals[a]) if b is None else fn(vals[a], vals[b])
-            for i in free:
-                vals[i] = None
+        with np.errstate(all="ignore"):
+            for out, fn, a, b, free, test, node in program.steps:
+                if test is not None and test[1](vals[test[0]], 0.0).any():
+                    raise ExprDomainError(test[2], node)
+                vals[out] = fn(vals[a]) if b is None else fn(vals[a], vals[b])
+                for i in free:
+                    vals[i] = None
     except KeyError as err:
         raise ExprError(f"no value supplied for variable `{err.args[0]}`") from None
     return [vals[i] for i in program.outputs]

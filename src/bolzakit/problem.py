@@ -12,12 +12,16 @@ constraint_image, constraint_adjoint); the solver calls them directly
 and the Trajectory functions call them after checking their arguments.
 Beside them, add_cost_hessian and add_constraint_hessian assemble the
 second derivatives, per cell in (x_k, v_k), in place into the
-block-tridiagonal node matrix of the solver's Newton step.  The cost
-gradient, the constraint kernels, the feasibility defects and the node
-matrix take a leading copy axis, so that one solver run treats B
+block-tridiagonal node matrix of the solver's Newton step.
+
+One layout runs through the module: node arrays (..., N+1, n), whose
+leading axes are copies, give cell arrays (..., N, ...) and endpoint
+pairs (..., 2n), and the expression programs run once on the cells of
+all copies without flattening them.  So one solver run treats B
 independent curves at once and estimate_lipschitz evaluates its sample
-points in a few calls; the expression programs then run once on the B N
-cells of all copies.
+points in a few calls.  An output that is constant (a quadratic cost's
+Hessian, an affine drift's Jacobian) keeps lead axes of length 1 and
+broadcasts over the cells and copies.
 
 Quadrature convention: cell integrands are evaluated at the left node in
 (t, x) with the exact cell velocity, i.e. a rectangle rule that is
@@ -27,7 +31,6 @@ cell-by-cell with the continuous optimality conditions.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -104,23 +107,27 @@ class ProblemSpec:
             )
 
     # ---- vectorized expression evaluation over cells -------------------
+    # Cell evaluations take cell times t (N,) and cell states X (..., N, n)
+    # (and velocities V or weights M like X) and return arrays (..., N, ...);
+    # the endpoint ones take rows x0, xT (..., n).  Leading axes are copies.
 
-    def _run(self, program: ex.Program, rows: int, t, index=None,
+    def _run(self, program: ex.Program, lead: tuple, t, index=None,
              **blocks) -> np.ndarray:
-        """Outputs of a program as the columns of a (rows, k) array, with
+        """Outputs of a program as the last axis of a (*lead, k) array, with
         t and the columns of each block bound to their names (x=X binds
         x1.., x0_=x0 binds x0_1..); t is None for the terminal cost.  An
-        integer array ``index`` places output index[i] at out[:, i] of a
-        (rows, *index.shape) array instead, with one row, which broadcasts
-        over the cells, when all those outputs are constants."""
+        integer array ``index`` places output index[i] at out[..., i] of a
+        (*lead, *index.shape) array instead, with lead axes of length 1,
+        which broadcast over the cells and copies, when all those outputs
+        are constants."""
         values = self._evaluate(program, t, **blocks)
         if index is None:
             index = np.arange(len(values))
         elif all(np.ndim(values[j]) == 0 for j in index.flat):
-            rows = 1
-        out = np.empty((rows, *index.shape))
+            lead = (1,) * len(lead)
+        out = np.empty((*lead, *index.shape))
         for pos in np.ndindex(index.shape):
-            out[(slice(None), *pos)] = values[index[pos]]
+            out[(..., *pos)] = values[index[pos]]
         return out
 
     def _evaluate(self, program: ex.Program, t, **blocks) -> list:
@@ -132,37 +139,35 @@ class ProblemSpec:
         return ex.run_program(program, env)
 
     def theta_cells(self, t, X, V) -> np.ndarray:
-        return self._run(self._theta, len(t), t, x=X, v=V)[:, 0]
+        return self._run(self._theta, X.shape[:-1], t, x=X, v=V)[..., 0]
 
     def theta_grad_cells(self, t, X, V) -> tuple[np.ndarray, np.ndarray]:
-        """(theta_x, theta_v) per cell, each a contiguous (cells, n) array,
-        so that the node scatters run over flat arrays."""
+        """(theta_x, theta_v) per cell, each a contiguous (..., N, n)
+        array, so that the node scatters run over whole arrays."""
         values = self._evaluate(self._theta_grad, t, x=X, v=V)
         n = self.n
-        halves = np.empty((2, len(t), n))
+        halves = np.empty((2, *X.shape))
         for j, value in enumerate(values):
-            halves[j // n, :, j % n] = value
+            halves[j // n, ..., j % n] = value
         return halves[0], halves[1]
 
     def g_cells(self, t, X) -> np.ndarray:
-        return self._run(self._g, len(t), t, x=X)
+        return self._run(self._g, X.shape[:-1], t, x=X)
 
     def g_jacobian_cells(self, t, X) -> np.ndarray:
-        """Drift Jacobians per cell, shape (cells, n, n) with [k, i, j] =
-        d g_i / d x_j, or (1, n, n) when constant (an affine drift)."""
+        """Drift Jacobians per cell, shape (..., N, n, n) with [..., k, i,
+        j] = d g_i / d x_j, with lead axes of length 1 when constant (an
+        affine drift)."""
         n = self.n
         index = np.arange(n * n).reshape(n, n)
-        return self._run(self._g_jac, len(t), t, index=index, x=X)
+        return self._run(self._g_jac, X.shape[:-1], t, index=index, x=X)
 
-    def phi_value(self, x0, xT) -> float:
-        return float(self._run(self._phi, 1, None, x0_=x0, xT_=xT)[0, 0])
+    def phi_value(self, x0, xT) -> np.ndarray:
+        return self._run(self._phi, np.shape(x0)[:-1], None, x0_=x0, xT_=xT)[..., 0]
 
     def phi_gradients(self, x0, xT) -> tuple[np.ndarray, np.ndarray]:
-        """(phi_x0, phi_xT) at endpoint rows x0 and xT of shape (..., n);
-        leading axes are copies."""
-        lead = np.shape(x0)[:-1]
-        out = self._run(self._phi_grad, math.prod(lead), None, x0_=x0, xT_=xT)
-        out = out.reshape(*lead, 2 * self.n)
+        """(phi_x0, phi_xT), each (..., n)."""
+        out = self._run(self._phi_grad, np.shape(x0)[:-1], None, x0_=x0, xT_=xT)
         return out[..., : self.n], out[..., self.n :]
 
     # ---- second derivatives, compiled on first use ---------------------
@@ -191,25 +196,28 @@ class ProblemSpec:
         return self._hessians
 
     def theta_hessian_cells(self, t, X, V):
-        """(theta_xx, theta_xv, theta_vv) per cell, each (cells, n, n), or
-        (1, n, n) when all of them are constant; xv has x rows and v
-        columns."""
+        """(theta_xx, theta_xv, theta_vv) per cell, each (..., N, n, n),
+        with lead axes of length 1 when all of them are constant; xv has x
+        rows and v columns."""
         n = self.n
         index, program = self._hessian_programs()[0]
         blocks = np.stack([index[:n, :n], index[:n, n:], index[n:, n:]])
-        out = self._run(program, len(t), t, index=blocks, x=X, v=V)
-        return out[:, 0], out[:, 1], out[:, 2]
+        out = self._run(program, X.shape[:-1], t, index=blocks, x=X, v=V)
+        return out[..., 0, :, :], out[..., 1, :, :], out[..., 2, :, :]
 
     def phi_hessian(self, x0, xT) -> np.ndarray:
-        """Hessian of phi in (x0, xT), shape (2n, 2n)."""
+        """Hessian of phi in (x0, xT), shape (..., 2n, 2n), with lead axes
+        of length 1 when constant."""
         index, program = self._hessian_programs()[1]
-        return self._run(program, 1, None, index=index, x0_=x0, xT_=xT)[0]
+        return self._run(program, np.shape(x0)[:-1], None, index=index,
+                         x0_=x0, xT_=xT)
 
     def g_hessian_cells(self, t, X, M) -> np.ndarray:
-        """sum_i M_i d^2 g_i / dx^2 per cell for weights M (cells, n), shape
-        (cells, n, n), or (1, n, n) when constant (an affine drift)."""
+        """sum_i M_i d^2 g_i / dx^2 per cell for weights M like X, shape
+        (..., N, n, n), with lead axes of length 1 when constant (an affine
+        drift)."""
         index, program = self._hessian_programs()[2]
-        return self._run(program, len(t), t, index=index, x=X, m=M)
+        return self._run(program, X.shape[:-1], t, index=index, x=X, m=M)
 
 
 def _second_derivatives(e: ex.Expr, names: list) -> tuple[np.ndarray, ex.Program]:
@@ -251,49 +259,35 @@ def _check_grid(P: ProblemSpec, x: Trajectory):
 
 
 # ---- kernels on node arrays ---------------------------------------------
-# X has shape (N+1, n) on `grid`; cost_gradient and the constraint kernels
-# also take copies (B, N+1, n), with cell arrays (B, N, n) and endpoint
-# pairs (B, 2n).  The kernels check nothing and accept non-finite values:
-# the solver evaluates line-search trials with them, while a Trajectory
-# rejects non-finite nodes and finite_constraint_image a non-finite image.
+# X has shape (..., N+1, n) on `grid`, its leading axes copies; cell arrays
+# are (..., N, n) and endpoint pairs (..., 2n).  The kernels check nothing
+# and accept non-finite values: the solver evaluates line-search trials with
+# them, while a Trajectory rejects non-finite nodes and
+# finite_constraint_image a non-finite image.
 
 
 def _cells(grid: Grid, X: np.ndarray):
-    """The cell quadrature points, one row per cell of every copy: left-node
-    times, left-node states and exact cell velocities (the slice difference
-    is np.diff without its per-call overhead).  Every cell evaluation of
-    theta, g or their derivatives, and every linearization, reads its
-    points here; the node scatters in cost_gradient and constraint_adjoint
-    are their transpose."""
-    n = X.shape[-1]
+    """The cell quadrature points: left-node times (N,), left-node states
+    and exact cell velocities (..., N, n) (the slice difference is np.diff
+    without its per-call overhead).  Every cell evaluation of theta, g or
+    their derivatives, and every linearization, reads its points here; the
+    node scatters in cost_gradient and constraint_adjoint are their
+    transpose."""
     XL = X[..., :-1, :]
-    V = (X[..., 1:, :] - XL) / grid.h
-    if X.ndim == 2:
-        return grid.cell_lefts(), XL, V
-    return np.tile(grid.cell_lefts(), len(X)), XL.reshape(-1, n), V.reshape(-1, n)
+    return grid.cell_lefts(), XL, (X[..., 1:, :] - XL) / grid.h
 
 
-def _per_copy(rows: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """Rows of _cells(grid, X) laid out as the cells of X, (..., N, ...);
-    one row shared by every cell stays as it is."""
-    shape = (*X.shape[:-2], X.shape[-2] - 1)
-    if len(rows) != math.prod(shape):
-        return rows
-    return rows.reshape(*shape, *rows.shape[1:])
-
-
-def cost(P: ProblemSpec, grid: Grid, X: np.ndarray) -> float:
-    """J_h = phi(x_0, x_N) + sum_k h * theta(t_k, x_k, v_k)."""
+def cost(P: ProblemSpec, grid: Grid, X: np.ndarray) -> np.ndarray:
+    """J_h = phi(x_0, x_N) + sum_k h * theta(t_k, x_k, v_k), per copy."""
     t, XL, V = _cells(grid, X)
-    running = float(grid.h * P.theta_cells(t, XL, V).sum())
-    return P.phi_value(X[0], X[-1]) + running
+    running = grid.h * P.theta_cells(t, XL, V).sum(axis=-1)
+    return P.phi_value(X[..., 0, :], X[..., -1, :]) + running
 
 
 def cost_gradient(P: ProblemSpec, grid: Grid, X: np.ndarray) -> np.ndarray:
-    """Node gradient of J_h, shape (N+1, n), per copy."""
+    """Node gradient of J_h, shape (..., N+1, n)."""
     t, XL, V = _cells(grid, X)
-    theta_x, theta_v = (_per_copy(half, X)
-                        for half in P.theta_grad_cells(t, XL, V))
+    theta_x, theta_v = P.theta_grad_cells(t, XL, V)
     gx0, gxT = P.phi_gradients(X[..., 0, :], X[..., -1, :])
     grad = np.zeros_like(X)
     grad[..., :-1, :] += grid.h * theta_x
@@ -307,22 +301,21 @@ def cost_gradient(P: ProblemSpec, grid: Grid, X: np.ndarray) -> np.ndarray:
 def constraint_image(
     P: ProblemSpec, grid: Grid, X: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(W, E): the velocity part w_k = v_k + g(t_k, x_k), shape (N, n), and
-    the endpoint pair E = (x_0, x_N), per copy."""
+    """(W, E): the velocity part w_k = v_k + g(t_k, x_k), shape (..., N, n),
+    and the endpoint pair E = (x_0, x_N), shape (..., 2n)."""
     t, XL, V = _cells(grid, X)
-    W = _per_copy(V + P.g_cells(t, XL), X)
-    return W, np.concatenate([X[..., 0, :], X[..., -1, :]], axis=-1)
+    return V + P.g_cells(t, XL), np.concatenate([X[..., 0, :], X[..., -1, :]], axis=-1)
 
 
 def constraint_adjoint(
     P: ProblemSpec, grid: Grid, X: np.ndarray, MU: np.ndarray, S: np.ndarray
 ) -> np.ndarray:
     """Transpose of the constraint linearization at X: the node gradient
-    of sum_k h <MU_k, w_k(X)> + <S, (x_0, x_N)> for cell values MU (N, n)
-    and an endpoint vector S (2n,), per copy."""
+    of sum_k h <MU_k, w_k(X)> + <S, (x_0, x_N)> for cell values MU (..., N,
+    n) and endpoint vectors S (..., 2n)."""
     n = P.n
     t, XL, _ = _cells(grid, X)
-    G = _per_copy(P.g_jacobian_cells(t, XL), X)
+    G = P.g_jacobian_cells(t, XL)
     out = np.zeros_like(X)
     out[..., :-1, :] = grid.h * np.einsum("...ij,...i->...j", G, MU) - MU
     out[..., 1:, :] += MU
@@ -368,20 +361,18 @@ def node_blocks(grid: Grid, n: int, copies: int):
 
 def add_cell_form(blocks, grid: Grid, xx=None, xv=None, vv=None, ends=None):
     """Add to node blocks, in place, the Hessian of sum_k h q_k + e per
-    copy: q_k a quadratic form in (x_k, v_k) with (B N, n, n) stacks xx,
-    xv (x rows, v columns) and vv, the cells of copy b at rows b N to
-    (b + 1) N, each optional and (1, n, n) for the same block in every
-    cell, and e a form with (2n, 2n) matrix ``ends``, or one (B, 2n, 2n)
-    per copy, in the endpoint pair (x_0, x_N).  With v_k = (x_{k+1} - x_k)
-    / h a cell adds h xx - (xv + xv^T) + vv/h to node k, vv/h to node
-    k + 1 and xv - vv/h between them.  Each part is folded in as it comes,
-    so a caller can free it before building the next."""
+    copy: q_k a quadratic form in (x_k, v_k) with (B, N, n, n) stacks xx,
+    xv (x rows, v columns) and vv, each optional and (1, 1, n, n) for one
+    block shared by every cell, and e a form with (2n, 2n) matrix ``ends``,
+    or one (B, 2n, 2n) per copy, in the endpoint pair (x_0, x_N).  With v_k
+    = (x_{k+1} - x_k) / h a cell adds h xx - (xv + xv^T) + vv/h to node k,
+    vv/h to node k + 1 and xv - vv/h between them.  Each part is folded in
+    as it comes, so a caller can free it before building the next."""
     diag, upper, corner = blocks
     h = grid.h
 
     def cells(form):  # as blocks (n, n, B, N), or (n, n, 1, 1)
-        lead = (1, 1) if len(form) == 1 else upper.shape[2:]
-        return form.reshape(*lead, *form.shape[1:]).transpose(2, 3, 0, 1)
+        return form.transpose(2, 3, 0, 1)
 
     if vv is not None:
         part = cells(vv) / h
@@ -404,11 +395,12 @@ def add_cell_form(blocks, grid: Grid, xx=None, xv=None, vv=None, ends=None):
 
 
 def add_cost_hessian(blocks, P: ProblemSpec, grid: Grid, X: np.ndarray):
-    """Add the Hessian of J_h at X to node blocks: theta's second
-    derivatives per cell and phi's in the endpoint pair."""
+    """Add the Hessian of J_h at the copies X (B, N+1, n) to node blocks:
+    theta's second derivatives per cell and phi's in the endpoint pair."""
     t, XL, V = _cells(grid, X)
     xx, xv, vv = P.theta_hessian_cells(t, XL, V)
-    add_cell_form(blocks, grid, xx, xv, vv, P.phi_hessian(X[0], X[-1]))
+    add_cell_form(blocks, grid, xx, xv, vv,
+                  P.phi_hessian(X[..., 0, :], X[..., -1, :]))
 
 
 def add_constraint_hessian(
@@ -417,7 +409,7 @@ def add_constraint_hessian(
 ):
     """Add to node blocks the Hessian at X of sum_k h psi_k(w_k(X)) +
     psi_E((x_0, x_N)) per copy, for cell functions psi_k with gradients MU
-    (B, N, n) and Hessians JW (B N, n, n) at w_k(X), and an endpoint
+    (B, N, n) and Hessians JW (B, N, n, n) at w_k(X), and an endpoint
     function with Hessian JE (B, 2n, 2n).  The linearization dw_k = dv_k +
     g_x dx_k gives the Gauss-Newton part; the drift's curvature weighted
     by MU gives the rest.  constraint_adjoint with the same MU is its
@@ -426,10 +418,10 @@ def add_constraint_hessian(
     G = P.g_jacobian_cells(t, XL)
     add_cell_form(blocks, grid, vv=JW, ends=JE)
     JG = JW @ G
-    add_cell_form(blocks, grid, xv=JG.transpose(0, 2, 1))  # G^T JW
-    xx = G.transpose(0, 2, 1) @ JG
+    add_cell_form(blocks, grid, xv=JG.swapaxes(-1, -2))  # G^T JW
+    xx = G.swapaxes(-1, -2) @ JG
     del JG
-    xx += P.g_hessian_cells(t, XL, MU.reshape(-1, P.n))
+    xx += P.g_hessian_cells(t, XL, MU)
     add_cell_form(blocks, grid, xx=xx)
 
 
@@ -439,7 +431,7 @@ def add_constraint_hessian(
 def evaluate_cost(P: ProblemSpec, x: Trajectory) -> float:
     """phi(x_0, x_N) + sum_k h * theta(t_k, x_k, v_k)."""
     _check_grid(P, x)
-    return cost(P, x.grid, x.values)
+    return float(cost(P, x.grid, x.values))
 
 
 def gateaux_J(P: ProblemSpec, x: Trajectory, u: Trajectory) -> float:

@@ -30,11 +30,12 @@ do not depend on the grid.  One line search serves every step: halvings
 from the unit step, tested by Armijo while the predicted decrease is
 above float resolution and by a shrinking gradient below it.
 
-An iterate is evaluated once: the Hessian, the dual update and the
-outer measurement read that evaluation.  The outer loop stops at a
-feasible iterate whose Lagrangian gradient is below the inner tolerance
-and whose multipliers lie in the normal cones (the complementarity
-residual of the dual update is below feas_tol).
+An iterate is evaluated once: the Hessian, the dual update, the outer
+measurement and the complementarity test read that evaluation, its
+constraint image included.  The outer loop stops at a feasible iterate
+whose Lagrangian gradient is below the inner tolerance and whose
+multipliers lie in the normal cones (the complementarity residual of the
+dual update is below feas_tol).
 
 One ALM solves B independent copies of the problem at once: node arrays
 carry a leading copy axis, the objective is the sum over the copies, and
@@ -150,7 +151,7 @@ def _add_curve_metric(blocks, grid: Grid, weight: float):
     n = blocks[2].shape[0]
     ends = np.zeros((2 * n, 2 * n))
     ends[:n, :n] = weight * np.eye(n)
-    pb.add_cell_form(blocks, grid, vv=weight * np.eye(n)[None], ends=ends)
+    pb.add_cell_form(blocks, grid, vv=weight * np.eye(n)[None, None], ends=ends)
 
 
 def _dots(A: np.ndarray) -> np.ndarray:
@@ -170,7 +171,8 @@ def _snapshot(X: np.ndarray) -> np.ndarray:
 
 class _AlmState:
     """ALM iterate for min value(X) subject to the problem's constraints,
-    for B copies at once: X is (B, N+1, n), mu (B, N, n) and s (B, 2n).
+    for B copies at once: X is (B, N+1, n), mu and the image W (B, N, n),
+    s and the image E (B, 2n), the problem kernels' layout.
     ``value`` is the objective summed over the copies, ``grad`` its node
     gradient, and ``hess(blocks, X)`` adds its Hessian to node blocks; each
     copy's objective depends on that copy alone.  ``grid`` is one copy's
@@ -193,16 +195,15 @@ class _AlmState:
 
     # -- augmented objective ----------------------------------------------
 
-    def _shifted(self, X: np.ndarray):
-        """((ZW, ZE), (RW, RE)): the constraint image shifted by the duals,
-        Z = (w + mu/rho, e + s/rho), and its residual R = Z - proj(Z), per
-        cell and for the endpoint pair.  The penalty is rho/2 |R|^2 and the
-        dual update is (mu, s) <- rho R."""
-        W, E = pb.constraint_image(self.P, self.grid, X)
+    def _shifted(self, W: np.ndarray, E: np.ndarray):
+        """(RW, RE): for the constraint image (W, E) shifted by the duals,
+        Z = (w + mu/rho, e + s/rho), its residual R = Z - proj(Z), per cell
+        and for the endpoint pair.  The penalty is rho/2 |R|^2 and the dual
+        update is (mu, s) <- rho R."""
         ZW = W + self.mu / self.rho
         ZE = E + self.s / self.rho
         PW = project(self.P.omega1, ZW.reshape(-1, self.P.n)).reshape(ZW.shape)
-        return (ZW, ZE), (ZW - PW, ZE - project(self.P.omega2, ZE))
+        return ZW - PW, ZE - project(self.P.omega2, ZE)
 
     def _penalty(self, RW: np.ndarray, RE: np.ndarray) -> float:
         return 0.5 * self.rho * (self.grid.h * float(np.einsum("bki,bki->", RW, RW))
@@ -211,31 +212,35 @@ class _AlmState:
     def aug_value(self, X: np.ndarray) -> float:
         self.point = X
         base = self.value(X)
-        return base + self._penalty(*self._shifted(X)[1])
+        image = pb.constraint_image(self.P, self.grid, X)
+        return base + self._penalty(*self._shifted(*image))
 
     def aug_value_and_grad(self, X: np.ndarray):
-        """(augmented value, its node gradient, cost, _shifted(X)) at X."""
+        """(augmented value, its node gradient, cost, (image, R)) at X: the
+        constraint image (W, E) and its shifted residual _shifted(W, E)."""
         self.point = X
         J = self.value(X)
-        shifted = self._shifted(X)
-        RW, RE = shifted[1]
+        image = pb.constraint_image(self.P, self.grid, X)
+        RW, RE = self._shifted(*image)
         G = self.grad(X) + self.rho * pb.constraint_adjoint(self.P, self.grid,
                                                             X, RW, RE)
-        return J + self._penalty(RW, RE), G, J, shifted
+        return J + self._penalty(RW, RE), G, J, (image, (RW, RE))
 
-    def _aug_hessian(self, X: np.ndarray, shifted):
-        """Generalized Hessian of the augmented objective at X, with shifted
-        image ``shifted``, as node blocks (diagonal, upper, corner) per
-        copy.  The penalty is rho/2 times the squared distance of the
-        shifted image from the sets, whose generalized Hessian is
-        I - dproj."""
+    def _aug_hessian(self, X: np.ndarray, constraint):
+        """Generalized Hessian of the augmented objective at X, with image
+        and shifted residual ``constraint`` = ((W, E), R), as node blocks
+        (diagonal, upper, corner) per copy.  The penalty is rho/2 times the
+        squared distance of the shifted image Z from the sets, whose
+        generalized Hessian is I - dproj at Z."""
         rho = self.rho
         blocks = pb.node_blocks(self.grid, self.P.n, len(X))
         self.hess(blocks, X)
-        (ZW, ZE), (RW, _) = shifted
+        (W, E), (RW, _) = constraint
+        ZW = W + self.mu / rho
         JW = residual_jacobian(self.P.omega1, ZW.reshape(-1, self.P.n))
+        JW = JW.reshape(*ZW.shape, -1)
         JW *= rho
-        JE = rho * residual_jacobian(self.P.omega2, ZE)
+        JE = rho * residual_jacobian(self.P.omega2, E + self.s / rho)
         pb.add_constraint_hessian(blocks, self.P, self.grid, X, rho * RW, JW, JE)
         return blocks
 
@@ -250,7 +255,7 @@ class _AlmState:
         return np.sqrt(_dots(R[:, 0])
                        + self.grid.h * np.einsum("bki,bki->b", R[:, 1:], R[:, 1:]))
 
-    def _newton_direction(self, X: np.ndarray, G: np.ndarray, shifted, tau: float):
+    def _newton_direction(self, X: np.ndarray, G: np.ndarray, constraint, tau: float):
         """(D, tau): the solution of (H + tau M) D = -G for the generalized
         Hessian H at X and the curve metric M, both block tridiagonal in
         node coordinates, with the smallest tau >= the given one on the
@@ -258,7 +263,7 @@ class _AlmState:
         positive.  As tau grows, D tends to the curve-metric gradient step
         -M^-1 G / tau.  D is None when no tau up to 1e12 helps (a Hessian
         that is not finite)."""
-        blocks = self._aug_hessian(X, shifted)
+        blocks = self._aug_hessian(X, constraint)
         shift = 0.0  # tau M already added to the blocks
         while tau <= 1e12:
             if tau > shift:
@@ -310,10 +315,10 @@ class _AlmState:
         copy's gradient has curve-metric norm at most inner_tol.  The shift
         tau of the Newton system starts at 0, grows only when a pivot is
         not positive, and falls tenfold after each accepted step; returns
-        the last iterate's J, G and R."""
+        the last iterate's J, G and (image, R)."""
         cfg = self.cfg
         X = self.X
-        F, G, J, shifted = self.aug_value_and_grad(X)
+        F, G, J, constraint = self.aug_value_and_grad(X)
         eps = float(np.finfo(float).eps)
         tau = 0.0
         for _ in range(cfg.inner_max_steps):
@@ -326,49 +331,47 @@ class _AlmState:
             # below this scale an Armijo decrease is not representable in
             # doubles
             plateau = 16.0 * eps * (1.0 + abs(F))
-            D, tau = self._newton_direction(X, G, shifted, tau)
+            D, tau = self._newton_direction(X, G, constraint, tau)
             step = None if D is None else self._line_search(X, F, G, D, plateau)
             if step is None:
                 break  # true stationarity floor for this arithmetic
-            X, F, G, J, shifted = step
+            X, F, G, J, constraint = step
             tau = 0.1 * tau if tau > 1e-6 else 0.0
         self.X = self.point = X
-        return J, G, shifted[1]
+        return J, G, constraint
 
-    def complementarity(self) -> np.ndarray:
+    def complementarity(self, image) -> np.ndarray:
         """h sum_k |mu+_k - mu_k| / rho + |s+ - s| / rho per copy, for the
-        dual update (mu+, s+) = rho R at X: zero exactly when the image is
-        feasible and mu, s lie in its normal cones."""
-        RW, RE = self._shifted(self.X)[1]
-        cells = row_norms((RW - self.mu / self.rho).reshape(-1, self.P.n))
-        return (self.grid.h * cells.reshape(RW.shape[:2]).sum(axis=1)
+        dual update (mu+, s+) = rho R at X of constraint image ``image``:
+        zero exactly when the image is feasible and mu, s lie in its normal
+        cones."""
+        RW, RE = self._shifted(*image)
+        return (self.grid.h * row_norms(RW - self.mu / self.rho).sum(axis=1)
                 + np.sqrt(_dots(RE - self.s / self.rho)))
 
     def update_duals(self, RW: np.ndarray, RE: np.ndarray):
         self.mu = self.rho * RW
         self.s = self.rho * RE
 
-    def initialize_endpoint_duals(self) -> np.ndarray:
+    def initialize_endpoint_duals(self, G: np.ndarray, E: np.ndarray) -> np.ndarray:
         """Least-squares endpoint multipliers, projected onto the normal
-        cone at the projected endpoint pair; returns the Lagrangian
-        gradient at (X, 0, s).  At a stationary warm start with inactive
-        cell constraints it vanishes, so a solve started at an optimum
-        converges in one outer iteration."""
-        G = self.grad(self.X)  # the Lagrangian gradient at mu = 0, s = 0
-        _, E = pb.constraint_image(self.P, self.grid, self.X)
+        cone at the projected endpoint pair E, from the objective's gradient
+        G at X; returns G updated in place to the Lagrangian gradient at (X,
+        0, s).  At a stationary warm start with inactive cell constraints it
+        vanishes, so a solve started at an optimum converges in one outer
+        iteration."""
         ends = -np.concatenate([G[:, 0], G[:, -1]], axis=1)
         self.s = np.array([project_normal_cone(self.P.omega2, z, xi) for z, xi
                            in zip(project(self.P.omega2, E), ends)])
         G[:, [0, -1]] += self.s.reshape(len(G), 2, -1)
         return G
 
-    def measure(self, J: float, G: np.ndarray):
+    def measure(self, J: float, G: np.ndarray, image):
         """(objective, velocity defects, endpoint defects, stationarities)
-        of the current iterate of cost J, the last three per copy;
-        stationarity is the metric norm of the plain-Lagrangian gradient G
-        at (X, mu, s)."""
-        vdef, edef = pb.feasibility_defects(
-            self.P, self.grid, *pb.constraint_image(self.P, self.grid, self.X))
+        of the current iterate of cost J and constraint image ``image``, the
+        last three per copy; stationarity is the metric norm of the
+        plain-Lagrangian gradient G at (X, mu, s)."""
+        vdef, edef = pb.feasibility_defects(self.P, self.grid, *image)
         return J, vdef, edef, self._metric_norms(G)
 
 
@@ -399,8 +402,11 @@ def _run_alm(P: pb.ProblemSpec, cfg: SolverConfig, grid: Grid, value, grad,
     state = _AlmState(P, cfg, grid, value, grad, hess, X0)
     history = []
     try:
+        J, G = state.value(state.X), state.grad(state.X)
+        image = pb.constraint_image(P, grid, state.X)
         objective, vdef, edef, stat = state.measure(
-            state.value(state.X), state.initialize_endpoint_duals())
+            J, state.initialize_endpoint_duals(G, image[1]), image)
+        del G
         for outer in range(1, cfg.outer_iters + 1):
             history.append(
                 {
@@ -413,13 +419,14 @@ def _run_alm(P: pb.ProblemSpec, cfg: SolverConfig, grid: Grid, value, grad,
             )
             converged = (vdef + edef <= cfg.feas_tol) & (stat <= cfg.inner_tol)
             if converged.any():
-                converged &= state.complementarity() <= cfg.feas_tol
+                converged &= state.complementarity(image) <= cfg.feas_tol
             if converged.all():
                 break
-            J, G, R = state.inner_minimize()
+            del image  # no array of an iterate outlives its last reader
+            J, G, (image, R) = state.inner_minimize()
             state.update_duals(*R)
-            objective, vdef, edef, stat = state.measure(J, G)
-            del G, R  # no array of this iterate outlives its measurement
+            objective, vdef, edef, stat = state.measure(J, G, image)
+            del G, R
             if (vdef + edef > cfg.feas_tol).any():
                 state.rho *= cfg.penalty_growth
     except pb.ex.ExprDomainError as err:
@@ -454,9 +461,9 @@ def solve(
         X0 = _default_init(P, grid)
     state, history, converged, (objective, vdef, edef, stat) = _run_alm(
         P, cfg, grid,
-        lambda X: pb.cost(P, grid, X[0]),
-        lambda X: pb.cost_gradient(P, grid, X[0])[None],
-        lambda blocks, X: pb.add_cost_hessian(blocks, P, grid, X[0]), X0[None],
+        lambda X: float(pb.cost(P, grid, X).sum()),
+        lambda X: pb.cost_gradient(P, grid, X),
+        lambda blocks, X: pb.add_cost_hessian(blocks, P, grid, X), X0[None],
     )
     n = P.n
     return SolveResult(

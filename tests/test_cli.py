@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -327,6 +329,18 @@ def test_drift_overflowing_at_the_candidate_exits_two(workdir, capsys, argv,
                                                       prefix):
     # exp(800) overflows: the velocity part is no number to measure, which is
     # bad input (exit 2), not a failed certificate (exit 1)
+    _write_overflowing_drift(workdir)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(prefix)
+    assert "non-finite at cell 0 (t = 0)" in err
+    assert not os.path.exists("line.certificate.json")
+    assert not os.path.exists("line.derivcheck.json")
+
+
+def _write_overflowing_drift(workdir):
+    """exp.json with drift exp(x1), and line.json with every node at 800,
+    where that drift overflows."""
     problem = {
         "version": 1, "n": 1, "T": 1.0, "terminal_cost": "0",
         "running_cost": "v1^2/2", "drift": ["exp(x1)"],
@@ -335,13 +349,35 @@ def test_drift_overflowing_at_the_candidate_exits_two(workdir, capsys, argv,
     }
     (workdir / "exp.json").write_text(json.dumps(problem), encoding="utf-8")
     _write_line(workdir / "line.json", N=4, slope=0.0, offset=800.0)
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert main(argv) == 2
-    err = capsys.readouterr().err
-    assert err.startswith(prefix)
-    assert "non-finite at cell 0 (t = 0)" in err
-    assert not os.path.exists("line.certificate.json")
-    assert not os.path.exists("line.derivcheck.json")
+
+
+def _run_program(*argv):
+    """Run a Python command line on this checkout's sources in a new
+    process, as a user would."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                       "src")
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src))
+
+
+@pytest.mark.parametrize("command", ["verify", "check-derivatives", "probe-cq"])
+def test_overflowing_drift_writes_only_the_error_line(workdir, command):
+    # numpy's overflow warning must not leak to stderr ahead of the message
+    _write_overflowing_drift(workdir)
+    done = _run_program("-c", "from bolzakit.cli import entry; entry()",
+                        command, "exp.json", "line.json")
+    assert done.returncode == 2
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), done.stderr
+
+
+def test_module_runs_as_a_program(workdir):
+    # python -m bolzakit.cli runs the command: exit 0, verify's PASS code,
+    # without running anything would be a false pass
+    _write_overflowing_drift(workdir)
+    done = _run_program("-m", "bolzakit.cli", "verify", "exp.json", "line.json")
+    assert done.returncode == 2, done.stderr
+    assert "non-finite at cell 0" in done.stderr
 
 
 @pytest.mark.parametrize("argv", [

@@ -183,18 +183,64 @@ def test_estimate_lipschitz_evaluates_no_cost(monkeypatch):
     assert est.value > 0 and est.provenance == "estimated"
 
 
-def test_cost_gradient_copies_match_one_curve_calls():
-    # curved theta in (t, x, v) and a terminal cost in both endpoints: every
-    # part of the node scatter is exercised on each copy
-    P = _make(n=2, theta="v1^2/2+sin(x1)*v2+x2^2*cos(t)+exp(x1*v1)/4",
-              phi="x0_1^2+xT_1*xT_2+cos(xT_2)", g=("0", "0"))
+_COPY_PROBLEMS = {
+    # curved theta in (t, x, v), a terminal cost in both endpoints and a
+    # nonlinear drift: every part of the node scatters and of the Hessian
+    # varies per cell and per copy
+    "curved": dict(theta="v1^2/2+sin(x1)*v2+x2^2*cos(t)+exp(x1*v1)/4",
+                   phi="x0_1^2+xT_1*xT_2+cos(xT_2)",
+                   g=("sin(x2)*cos(t)", "x1*x2/2-x1")),
+    # quadratic theta and phi and an affine drift: constant Hessians and a
+    # constant drift Jacobian, one block that broadcasts over every cell
+    "constant": dict(theta="(v1^2+v2^2)/2+x1*v2+x2^2/2", phi="x0_1*xT_2",
+                     g=("0.5*x2", "t-x1")),
+}
+
+
+def _node_blocks(add):
+    """A Hessian kernel as node blocks, copy axis first."""
+    def run(P, grid, X, MU, S, JW, JE):
+        blocks = pb.node_blocks(grid, P.n, len(X))
+        add(blocks, P, grid, X, MU, JW, JE)
+        return [np.moveaxis(block, 2, 0) for block in blocks]
+    return run
+
+
+# each kernel's outputs on node arrays X, cell values MU, endpoint vectors S
+# and Hessians JW, JE, with the copies on the leading axis
+_COPY_KERNELS = {
+    "cost": lambda P, grid, X, MU, S, JW, JE: [pb.cost(P, grid, X)],
+    "cost_gradient": lambda P, grid, X, MU, S, JW, JE: [pb.cost_gradient(P, grid, X)],
+    "constraint_image": lambda P, grid, X, MU, S, JW, JE: list(
+        pb.constraint_image(P, grid, X)),
+    "constraint_adjoint": lambda P, grid, X, MU, S, JW, JE: [
+        pb.constraint_adjoint(P, grid, X, MU, S)],
+    "cost_hessian": _node_blocks(
+        lambda blocks, P, grid, X, MU, JW, JE: pb.add_cost_hessian(blocks, P, grid, X)),
+    "constraint_hessian": _node_blocks(pb.add_constraint_hessian),
+}
+
+
+@pytest.mark.parametrize("problem", sorted(_COPY_PROBLEMS))
+@pytest.mark.parametrize("kernel", list(_COPY_KERNELS))
+def test_kernel_copies_match_one_curve_calls(kernel, problem):
+    # a kernel on B copies is B one-curve calls, bitwise; the node blocks
+    # take copies only, so their one-curve call is one copy
+    P = _make(n=2, **_COPY_PROBLEMS[problem])
     grid = Grid(1.3, 37)
     rng = np.random.default_rng(8)
-    X = 0.5 * rng.standard_normal((4, grid.N + 1, 2))
-    G = pb.cost_gradient(P, grid, X)
-    assert G.shape == X.shape
-    for b in range(len(X)):
-        assert np.array_equal(G[b], pb.cost_gradient(P, grid, X[b]))
+    B, N, n = 4, grid.N, 2
+    args = (0.5 * rng.standard_normal((B, N + 1, n)), rng.standard_normal((B, N, n)),
+            rng.standard_normal((B, 2 * n)), rng.standard_normal((B, N, n, n)),
+            rng.standard_normal((B, 2 * n, 2 * n)))
+    run = _COPY_KERNELS[kernel]
+    outputs = run(P, grid, *args)
+    blocks = kernel.endswith("hessian")
+    for b in range(B):
+        one = run(P, grid, *(a[b : b + 1] if blocks else a[b] for a in args))
+        for copies, single in zip(outputs, one, strict=True):
+            assert copies.shape[0] == B
+            assert np.array_equal(copies[b], single[0] if blocks else single)
 
 
 def _estimate_point_by_point(P, xbar, samples, seed):
@@ -446,7 +492,6 @@ def test_feasibility_zero_iff_pointwise_feasible():
 
 
 @pytest.mark.parametrize("omega1", [Box([-1.0], [1.0]), Reals(1)], ids=["box", "reals"])
-@pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_feasibility_rejects_an_overflowing_drift(omega1):
     # exp overflows to inf at x = 800: the velocity part is not a number to
     # measure, whatever the set

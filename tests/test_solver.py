@@ -170,9 +170,9 @@ def _state(P, N, **cfg):
     grid = Grid(P.T, N)
     return sv._AlmState(
         P, sv.SolverConfig(grid_N=N, **cfg), grid,
-        lambda X: pb.cost(P, grid, X[0]),
-        lambda X: pb.cost_gradient(P, grid, X[0])[None],
-        lambda blocks, X: pb.add_cost_hessian(blocks, P, grid, X[0]),
+        lambda X: float(pb.cost(P, grid, X).sum()),
+        lambda X: pb.cost_gradient(P, grid, X),
+        lambda blocks, X: pb.add_cost_hessian(blocks, P, grid, X),
         sv._default_init(P, grid)[None],
     )
 
@@ -231,20 +231,24 @@ def test_outer_iterations_do_not_depend_on_grid(problem, most):
 @pytest.mark.parametrize("problem", [_curved_problem, _ball_drift_problem],
                          ids=["curved", "ball-drift"])
 def test_each_point_is_evaluated_once(monkeypatch, problem):
-    # the Hessian, the dual update and the outer measurement read the line
-    # search's evaluation: a shifted image for each augmented evaluation and
-    # complementarity test, a cost gradient for each augmented gradient, a
-    # cost for each augmented value, plus one of each for the start
+    # the Hessian, the dual update, the outer measurement and the
+    # complementarity test read the line search's evaluation: a constraint
+    # image, a cost gradient and a cost for each augmented gradient, an
+    # image and a cost for each augmented value, plus one of each for the
+    # start; a shifted image for each augmented evaluation and
+    # complementarity test
     shifted = _count_calls(monkeypatch, "_shifted")
     values = _count_calls(monkeypatch, "aug_value")
     grads = _count_calls(monkeypatch, "aug_value_and_grad")
     comps = _count_calls(monkeypatch, "complementarity")
     costs = _count_calls(monkeypatch, "cost", owner=pb)
     cost_grads = _count_calls(monkeypatch, "cost_gradient", owner=pb)
+    images = _count_calls(monkeypatch, "constraint_image", owner=pb)
     assert sv.solve(problem(), sv.SolverConfig(grid_N=200)).converged
     assert len(shifted) == len(values) + len(grads) + len(comps)
     assert len(cost_grads) == len(grads) + 1
     assert len(costs) == len(values) + len(grads) + 1
+    assert len(images) == len(values) + len(grads) + 1
 
 
 def _coupled_problem():
