@@ -35,7 +35,7 @@ from . import jsonio
 from . import problem as pb
 from .convex import ConvexSetError
 from .expr import ExprError
-from .funspace import CellPath, Trajectory, ac_norm, one_one_norm, sup_norm
+from .funspace import CellPath, Trajectory, ac_norm, one_one_norm, row_norms, sup_norm
 from .optimality import Tolerances, certify
 from .solver import SolverConfig, SolverError, solve
 
@@ -107,14 +107,15 @@ def _solver_config(args) -> SolverConfig:
         raise _CliError(f"bad solver configuration: {err}") from err
 
 
-def _add_solver_flags(p: argparse.ArgumentParser):
-    p.add_argument("--grid", type=int, default=200, help="number of grid cells")
-    p.add_argument("--rho", type=float, default=10.0, help="initial penalty")
-    p.add_argument("--rho-growth", type=float, default=4.0)
-    p.add_argument("--outer-iters", type=int, default=60)
-    p.add_argument("--inner-tol", type=float, default=1e-7)
-    p.add_argument("--inner-max-steps", type=int, default=4000)
-    p.add_argument("--feas-tol", type=float, default=1e-8)
+def _add_solver_flags(p: argparse.ArgumentParser, grid=SolverConfig.grid_N):
+    p.add_argument("--grid", type=int, default=grid, help="number of grid cells")
+    p.add_argument("--rho", type=float, default=SolverConfig.penalty_rho,
+                   help="initial penalty")
+    p.add_argument("--rho-growth", type=float, default=SolverConfig.penalty_growth)
+    p.add_argument("--outer-iters", type=int, default=SolverConfig.outer_iters)
+    p.add_argument("--inner-tol", type=float, default=SolverConfig.inner_tol)
+    p.add_argument("--inner-max-steps", type=int, default=SolverConfig.inner_max_steps)
+    p.add_argument("--feas-tol", type=float, default=SolverConfig.feas_tol)
 
 
 def _history_csv(history) -> str:
@@ -183,21 +184,21 @@ def _parse_vector(text, n: int, flag: str):
     return np.asarray(values)
 
 
+# verify flag (as an argparse dest): Tolerances field
+_TOLERANCE_FLAGS = {
+    "tol_feasibility": "feasibility",
+    "tol_el": "el",
+    "tol_wp": "wp_gap",
+    "tol_transversality": "transversality",
+    "tol_mu": "mu_membership",
+    "tol_support_zero": "support_zero",
+}
+
+
 def _tolerances(args) -> Tolerances:
-    kwargs = {}
-    if args.tol_feasibility is not None:
-        kwargs["feasibility"] = args.tol_feasibility
-    if args.tol_el is not None:
-        kwargs["el"] = args.tol_el
-    if args.tol_wp is not None:
-        kwargs["wp_gap"] = args.tol_wp
-    if args.tol_transversality is not None:
-        kwargs["transversality"] = args.tol_transversality
-    if args.tol_mu is not None:
-        kwargs["mu_membership"] = args.tol_mu
-    if args.tol_support_zero is not None:
-        kwargs["support_zero"] = args.tol_support_zero
-    return Tolerances(**kwargs)
+    return Tolerances(**{field: getattr(args, flag)
+                         for flag, field in _TOLERANCE_FLAGS.items()
+                         if getattr(args, flag) is not None})
 
 
 def _cmd_verify(args) -> int:
@@ -255,6 +256,11 @@ def _cmd_verify(args) -> int:
 def _cmd_probe_cq(args) -> int:
     P = _load_problem(args.problem)
     x = _load_trajectory(args.trajectory)
+    if args.grid not in (None, x.grid.N):
+        raise _CliError(
+            f"--grid {args.grid} != the trajectory's {x.grid.N} cells: the "
+            "probe restores its samples on the trajectory's grid")
+    args.grid = x.grid.N
     cfg = _solver_config(args)
     out_path = args.out or f"{_stem(args.trajectory)}.cqprobe.json"
     jsonio.check_writable(out_path)  # a bad --out fails before probing
@@ -287,30 +293,28 @@ def _cmd_check_derivatives(args) -> int:
     except pb.ProblemError as err:
         raise _CliError(str(err)) from err
     rng = np.random.default_rng(args.seed)
-    grid = x.grid
+    grid, X = x.grid, x.values
     eps = args.eps
     worst_rel = 0.0
     worst_lin = 0.0
     try:
-        base = pb.apply_constraint(P, x)
+        W, E = pb.finite_constraint_image(P, grid, X)
+        grad = pb.finite_cost_gradient(P, grid, X)
         for _ in range(args.directions):
-            u = Trajectory(grid, rng.standard_normal((grid.N + 1, P.n)))
-            sym = pb.gateaux_J(P, x, u)
-            plus = pb.evaluate_cost(P, x + eps * u)
-            minus = pb.evaluate_cost(P, x - eps * u)
+            U = rng.standard_normal((grid.N + 1, P.n))
+            # <grad J, u> against a central difference of J
+            sym = float(np.einsum("ki,ki->", grad, U))
+            plus, minus = pb.finite_cost(
+                P, grid, np.stack([X + eps * U, X - eps * U])).tolist()
             fd = (plus - minus) / (2 * eps)
             worst_rel = max(worst_rel, abs(sym - fd) / (1.0 + abs(sym)))
-            lin = pb.apply_constraint_derivative(P, x, u)
-            shifted = pb.apply_constraint(P, x + eps * u)
-            dv = (
-                shifted.velocity_part.values
-                - base.velocity_part.values
-                - eps * lin.velocity_part.values
-            )
-            de = shifted.endpoints - base.endpoints - eps * lin.endpoints
-            defect = pb.reduced_image_norm(
-                pb.ReducedImage(CellPath(grid, dv), de)
-            )
+            # the linearization error h sum_k |dW_k| + |dE| of the image
+            DW, DE = pb.constraint_derivative(P, grid, X, U)
+            pb.require_finite(DW, grid.cell_lefts(), "constraint linearization",
+                              "cell", "the drift Jacobian overflows there")
+            W1, E1 = pb.finite_constraint_image(P, grid, X + eps * U)
+            defect = (float(grid.h * row_norms(W1 - W - eps * DW).sum())
+                      + float(np.linalg.norm(E1 - E - eps * DE)))
             worst_lin = max(worst_lin, defect / eps)
     except (pb.ProblemError, ExprError, ConvexSetError) as err:
         raise _CliError(f"derivative check failed to run: {err}") from err
@@ -407,12 +411,8 @@ def _verify_arguments(p: argparse.ArgumentParser):
                    help="subregularity modulus for the bound")
     p.add_argument("--seed", type=_SEED, default=0)
     p.add_argument("--report", help="certificate JSON output path")
-    p.add_argument("--tol-feasibility", type=_TOLERANCE)
-    p.add_argument("--tol-el", type=_TOLERANCE)
-    p.add_argument("--tol-wp", type=_TOLERANCE)
-    p.add_argument("--tol-transversality", type=_TOLERANCE)
-    p.add_argument("--tol-mu", type=_TOLERANCE)
-    p.add_argument("--tol-support-zero", type=_TOLERANCE)
+    for flag in _TOLERANCE_FLAGS:
+        p.add_argument("--" + flag.replace("_", "-"), type=_TOLERANCE)
 
 
 def _probe_cq_arguments(p: argparse.ArgumentParser):
@@ -422,7 +422,7 @@ def _probe_cq_arguments(p: argparse.ArgumentParser):
     p.add_argument("--delta", type=_POSITIVE, default=0.1)
     p.add_argument("--seed", type=_SEED, default=0)
     p.add_argument("--out")
-    _add_solver_flags(p)
+    _add_solver_flags(p, grid=None)  # the trajectory's N, the only one accepted
 
 
 def _check_derivatives_arguments(p: argparse.ArgumentParser):

@@ -116,21 +116,6 @@ class CellPath:
     def n(self) -> int:
         return self.values.shape[1]
 
-    def __add__(self, other: "CellPath") -> "CellPath":
-        if not self.grid.compatible(other.grid) or self.n != other.n:
-            raise ValueError("cell paths live on incompatible grids")
-        return CellPath(self.grid, self.values + other.values)
-
-    def __sub__(self, other: "CellPath") -> "CellPath":
-        if not self.grid.compatible(other.grid) or self.n != other.n:
-            raise ValueError("cell paths live on incompatible grids")
-        return CellPath(self.grid, self.values - other.values)
-
-    def __rmul__(self, scalar: float) -> "CellPath":
-        return CellPath(self.grid, float(scalar) * self.values)
-
-    __mul__ = __rmul__
-
 
 def row_norms(arr: np.ndarray) -> np.ndarray:
     """Euclidean norm of each row (last axis) of an array."""

@@ -32,7 +32,7 @@ supplied tolerances.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -97,33 +97,10 @@ class CertificateReport:
     notes: list = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "feasibility": {
-                "velocity_defect": self.velocity_defect,
-                "endpoint_defect": self.endpoint_defect,
-            },
-            "el_residual_l1": self.el_residual_l1,
-            "wp_gap_max": self.wp_gap_max,
-            "wp_gap_l1": self.wp_gap_l1,
-            "wp_infinite_cell": self.wp_infinite_cell,
-            "transversality_residual": self.transversality_residual,
-            "mu_membership_max": self.mu_membership_max,
-            "endpoint_consistency_defect": self.endpoint_consistency_defect,
-            "lambda_norm": self.lambda_norm,
-            "lambda_mu_sup": self.lambda_mu_sup,
-            "lambda_endpoint_norm": self.lambda_endpoint_norm,
-            "kappa": self.kappa,
-            "kappa_provenance": self.kappa_provenance,
-            "ell": self.ell,
-            "ell_provenance": self.ell_provenance,
-            "kappa_ell_bound": self.kappa_ell_bound,
-            "bound_satisfied": self.bound_satisfied,
-            "integrated_endpoint_residual": self.integrated_endpoint_residual,
-            "tolerances": dict(self.tolerances),
-            "verdicts": dict(self.verdicts),
-            "passed": self.passed,
-            "notes": list(self.notes),
-        }
+        d = asdict(self)
+        feasibility = {key: d.pop(key) for key in ("velocity_defect",
+                                                   "endpoint_defect")}
+        return {"feasibility": feasibility, **d}
 
     def render_text(self) -> str:
         lines = ["certificate"]
@@ -182,14 +159,19 @@ class CertificateReport:
 
 def stationarity(P: pb.ProblemSpec, x: Trajectory, mu: CellPath) -> np.ndarray:
     """L, the node gradient of the transcription's Lagrangian at (x, mu)
-    with zero endpoint multipliers, shape (N+1, n)."""
+    with zero endpoint multipliers, shape (N+1, n); ProblemError, naming
+    the first node, when it is not finite."""
     pb._check_grid(P, x)
     if not mu.grid.compatible(x.grid) or mu.n != x.n:
         raise pb.ProblemError("mu must live on the trajectory's grid")
     grid, X = x.grid, x.values
-    return pb.cost_gradient(P, grid, X) + pb.constraint_adjoint(
-        P, grid, X, mu.values, np.zeros(2 * P.n)
-    )
+    with np.errstate(all="ignore"):  # a non-finite L is reported below
+        L = pb.cost_gradient(P, grid, X) + pb.constraint_adjoint(
+            P, grid, X, mu.values, np.zeros(2 * P.n)
+        )
+    pb.require_finite(L, grid.nodes(), "stationarity row L", "node",
+                      "the cost or drift derivatives overflow there")
+    return L
 
 
 def endpoint_multipliers(L: np.ndarray) -> np.ndarray:
@@ -335,6 +317,10 @@ def certify(
     gradient's ac-dual norm at and around the candidate (and flagged).
     """
     tol = tolerances or Tolerances()
+    pb._check_grid(P, x)
+    grid = x.grid
+    # the image first: a drift that overflows is named by its cell
+    W, E = pb.finite_constraint_image(P, grid, x.values)
     L = stationarity(P, x, mu)
     xi = endpoint_multipliers(L)
     s1 = xi[: P.n] if s1 is None else np.asarray(s1, dtype=float).reshape(-1)
@@ -343,8 +329,6 @@ def certify(
         raise pb.ProblemError("endpoint multipliers must have the state dimension")
 
     notes: list[str] = []
-    grid = x.grid
-    W, E = pb.finite_constraint_image(P, grid, x.values)
     vdef, edef = (float(d) for d in pb.feasibility_defects(P, grid, W, E))
     feasible = (vdef + edef) <= tol.feasibility
 
@@ -430,14 +414,7 @@ def certify(
         kappa_ell_bound=bound,
         bound_satisfied=bound_ok,
         integrated_endpoint_residual=ie,
-        tolerances={
-            "feasibility": tol.feasibility,
-            "el": el_tol,
-            "wp_gap": tol.wp_gap,
-            "transversality": tol.transversality,
-            "mu_membership": tol.mu_membership,
-            "support_zero": tol.support_zero,
-        },
+        tolerances=dict(asdict(tol), el=el_tol),
         verdicts=verdicts,
         passed=passed,
         notes=notes,

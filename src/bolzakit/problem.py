@@ -6,13 +6,13 @@ x' + g(t,x)) and the endpoint constraint set for (x(0), x(T)).  On a grid
 the problem reduces to a finite-dimensional program: this module provides
 the discrete cost and its node gradient, the constraint image (velocity
 part and endpoints), the constraint linearization and its adjoint, and
-the feasibility defects.  The cost, its gradient, the image and the
-adjoint are each one kernel on node arrays (cost, cost_gradient,
-constraint_image, constraint_adjoint); the solver calls them directly
-and the Trajectory functions call them after checking their arguments.
-Beside them, add_cost_hessian and add_constraint_hessian assemble the
-second derivatives, per cell in (x_k, v_k), in place into the
-block-tridiagonal node matrix of the solver's Newton step.
+the feasibility defects, each one kernel on node arrays: the interface
+through which the solver, the certificate and the derivative check see
+the transcription.  Both gradients (cost_gradient, constraint_adjoint)
+are one _scatter, the transpose of the cell map _cells.  add_cost_hessian
+and add_constraint_hessian assemble the second derivatives, per cell in
+(x_k, v_k), in place into the block-tridiagonal node matrix of the
+solver's Newton step.  The finite_* functions check curves given as data.
 
 One layout runs through the module: node arrays (..., N+1, n), whose
 leading axes are copies, give cell arrays (..., N, ...) and endpoint
@@ -37,7 +37,7 @@ import numpy as np
 
 from . import expr as ex
 from .convex import ConvexSet, distance
-from .funspace import CellPath, Grid, Trajectory, ac_dual_norm, ac_norm, row_norms
+from .funspace import Grid, Trajectory, ac_dual_norm, ac_norm
 
 
 class ProblemError(ValueError):
@@ -233,22 +233,6 @@ def _second_derivatives(e: ex.Expr, names: list) -> tuple[np.ndarray, ex.Program
     return index, ex.compile_program([ex.diff(first[a], names[b]) for a, b in pairs])
 
 
-@dataclass(frozen=True)
-class ReducedImage:
-    """Image of a trajectory under the constraint map: the per-cell
-    velocity part x' + g(t, x) and the endpoint pair (x(0), x(T))."""
-
-    velocity_part: CellPath
-    endpoints: np.ndarray
-
-
-def reduced_image_norm(img: ReducedImage) -> float:
-    """L1 norm of the velocity part plus the Euclidean endpoint norm."""
-    h = img.velocity_part.grid.h
-    vel = float(h * row_norms(img.velocity_part.values).sum())
-    return vel + float(np.linalg.norm(img.endpoints))
-
-
 def _check_grid(P: ProblemSpec, x: Trajectory):
     if x.n != P.n:
         raise ProblemError(f"trajectory dimension {x.n} != problem dimension {P.n}")
@@ -262,19 +246,33 @@ def _check_grid(P: ProblemSpec, x: Trajectory):
 # X has shape (..., N+1, n) on `grid`, its leading axes copies; cell arrays
 # are (..., N, n) and endpoint pairs (..., 2n).  The kernels check nothing
 # and accept non-finite values: the solver evaluates line-search trials with
-# them, while a Trajectory rejects non-finite nodes and
-# finite_constraint_image a non-finite image.
+# them, while a Trajectory rejects non-finite nodes, and the finite_*
+# functions and require_finite reject non-finite values at curves given as
+# data.
 
 
 def _cells(grid: Grid, X: np.ndarray):
     """The cell quadrature points: left-node times (N,), left-node states
     and exact cell velocities (..., N, n) (the slice difference is np.diff
     without its per-call overhead).  Every cell evaluation of theta, g or
-    their derivatives, and every linearization, reads its points here; the
-    node scatters in cost_gradient and constraint_adjoint are their
-    transpose."""
+    their derivatives, and every linearization, reads its points here;
+    _scatter is the transpose."""
     XL = X[..., :-1, :]
     return grid.cell_lefts(), XL, (X[..., 1:, :] - XL) / grid.h
+
+
+def _scatter(grid: Grid, CX: np.ndarray, CV: np.ndarray, S0, ST) -> np.ndarray:
+    """Transpose of _cells plus the endpoint pair: the node gradient, shape
+    (..., N+1, n), of sum_k h (<CX_k, x_k> + <CV_k, v_k>) + <S0, x_0> +
+    <ST, x_N> for cell arrays CX, CV (..., N, n) and endpoint rows S0, ST
+    (..., n)."""
+    out = np.zeros((*CV.shape[:-2], grid.N + 1, CV.shape[-1]))
+    out[..., :-1, :] += grid.h * CX
+    out[..., :-1, :] -= CV
+    out[..., 1:, :] += CV
+    out[..., 0, :] += S0
+    out[..., -1, :] += ST
+    return out
 
 
 def cost(P: ProblemSpec, grid: Grid, X: np.ndarray) -> np.ndarray:
@@ -288,14 +286,8 @@ def cost_gradient(P: ProblemSpec, grid: Grid, X: np.ndarray) -> np.ndarray:
     """Node gradient of J_h, shape (..., N+1, n)."""
     t, XL, V = _cells(grid, X)
     theta_x, theta_v = P.theta_grad_cells(t, XL, V)
-    gx0, gxT = P.phi_gradients(X[..., 0, :], X[..., -1, :])
-    grad = np.zeros_like(X)
-    grad[..., :-1, :] += grid.h * theta_x
-    grad[..., :-1, :] -= theta_v
-    grad[..., 1:, :] += theta_v
-    grad[..., 0, :] += gx0
-    grad[..., -1, :] += gxT
-    return grad
+    return _scatter(grid, theta_x, theta_v,
+                    *P.phi_gradients(X[..., 0, :], X[..., -1, :]))
 
 
 def constraint_image(
@@ -307,21 +299,29 @@ def constraint_image(
     return V + P.g_cells(t, XL), np.concatenate([X[..., 0, :], X[..., -1, :]], axis=-1)
 
 
+def constraint_derivative(
+    P: ProblemSpec, grid: Grid, X: np.ndarray, U: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The constraint linearization at X applied to node arrays U like X:
+    (DW, DE) with DW_k = u'_k + g_x(t_k, x_k) u_k, shape (..., N, n), and
+    DE = (u_0, u_N), shape (..., 2n)."""
+    t, XL, _ = _cells(grid, X)
+    _, UL, DV = _cells(grid, U)
+    DW = DV + np.einsum("...ij,...j->...i", P.g_jacobian_cells(t, XL), UL)
+    return DW, np.concatenate([U[..., 0, :], U[..., -1, :]], axis=-1)
+
+
 def constraint_adjoint(
     P: ProblemSpec, grid: Grid, X: np.ndarray, MU: np.ndarray, S: np.ndarray
 ) -> np.ndarray:
-    """Transpose of the constraint linearization at X: the node gradient
-    of sum_k h <MU_k, w_k(X)> + <S, (x_0, x_N)> for cell values MU (..., N,
+    """Transpose of constraint_derivative at X: the node gradient of
+    sum_k h <MU_k, w_k(X)> + <S, (x_0, x_N)> for cell values MU (..., N,
     n) and endpoint vectors S (..., 2n)."""
     n = P.n
     t, XL, _ = _cells(grid, X)
     G = P.g_jacobian_cells(t, XL)
-    out = np.zeros_like(X)
-    out[..., :-1, :] = grid.h * np.einsum("...ij,...i->...j", G, MU) - MU
-    out[..., 1:, :] += MU
-    out[..., 0, :] += S[..., :n]
-    out[..., -1, :] += S[..., n:]
-    return out
+    return _scatter(grid, np.einsum("...ij,...i->...j", G, MU), MU,
+                    S[..., :n], S[..., n:])
 
 
 def finite_constraint_image(
@@ -331,13 +331,46 @@ def finite_constraint_image(
     when the velocity part is not finite (a drift that overflows at the
     curve), naming the first such cell."""
     W, E = constraint_image(P, grid, X)
-    bad = ~np.isfinite(W).all(axis=-1)
-    if bad.any():
-        k = int(np.argmax(bad.reshape(-1))) % grid.N
-        raise ProblemError(
-            f"velocity part x' + g(t, x) is non-finite at cell {k} "
-            f"(t = {grid.cell_lefts()[k]:.6g}): the drift overflows there")
+    require_finite(W, grid.cell_lefts(), "velocity part x' + g(t, x)", "cell",
+                   "the drift overflows there")
     return W, E
+
+
+def finite_cost(P: ProblemSpec, grid: Grid, X: np.ndarray) -> np.ndarray:
+    """cost of curves given as data, per copy: ProblemError when it is not
+    finite (a cost that overflows at the curve), naming the first cell
+    whose running cost is not finite."""
+    with np.errstate(all="ignore"):  # a sum that overflows is reported below
+        J = cost(P, grid, X)
+    if not np.isfinite(J).all():
+        t, XL, V = _cells(grid, X)
+        require_finite(P.theta_cells(t, XL, V)[..., None], t,
+                       "running cost theta(t, x, v)", "cell",
+                       "the cost overflows there")
+        raise ProblemError("cost is non-finite: the terminal cost phi(x(0), x(T)) "
+                           "or the sum over the cells overflows")
+    return J
+
+
+def finite_cost_gradient(P: ProblemSpec, grid: Grid, X: np.ndarray) -> np.ndarray:
+    """cost_gradient of curves given as data, per copy: ProblemError when
+    it is not finite (a cost that overflows at the curve), naming the first
+    such node."""
+    with np.errstate(all="ignore"):  # inf - inf in the scatter; reported below
+        G = cost_gradient(P, grid, X)
+    require_finite(G, grid.nodes(), "cost gradient", "node", "the cost overflows there")
+    return G
+
+
+def require_finite(rows: np.ndarray, times: np.ndarray, what: str, where: str,
+                   cause: str):
+    """ProblemError unless every row of rows (..., K, n) is finite, naming
+    the first bad row k of any copy as ``where`` k at time times[k] (K,)."""
+    bad = ~np.isfinite(rows).all(axis=-1)
+    if bad.any():
+        k = int(np.argmax(bad.reshape(-1))) % len(times)
+        raise ProblemError(
+            f"{what} is non-finite at {where} {k} (t = {times[k]:.6g}): {cause}")
 
 
 def feasibility_defects(P: ProblemSpec, grid: Grid, W: np.ndarray, E: np.ndarray):
@@ -434,46 +467,11 @@ def evaluate_cost(P: ProblemSpec, x: Trajectory) -> float:
     return float(cost(P, x.grid, x.values))
 
 
-def gateaux_J(P: ProblemSpec, x: Trajectory, u: Trajectory) -> float:
-    """Directional derivative of the cost at x in direction u:
-    <grad phi, (u(0), u(T))> + int [<theta_x, u> + <theta_v, u'>],
-    computed as the node pairing <cost_gradient(x), u>."""
-    _check_grid(P, x)
-    if not x.grid.compatible(u.grid) or u.n != x.n:
-        raise ProblemError("direction must live on the trajectory's grid")
-    grad = cost_gradient(P, x.grid, x.values)
-    return float(np.einsum("ki,ki->", grad, u.values))
-
-
-def apply_constraint(P: ProblemSpec, x: Trajectory) -> ReducedImage:
-    """Constraint image: w_k = v_k + g(t_k, x_k) and (x_0, x_N); see
-    finite_constraint_image."""
-    _check_grid(P, x)
-    W, endpoints = finite_constraint_image(P, x.grid, x.values)
-    return ReducedImage(CellPath(x.grid, W), endpoints)
-
-
-def apply_constraint_derivative(
-    P: ProblemSpec, x: Trajectory, u: Trajectory
-) -> ReducedImage:
-    """Constraint linearization at x applied to u:
-    (u' + g_x(t, x) u, (u(0), u(T)))."""
-    _check_grid(P, x)
-    if not x.grid.compatible(u.grid) or u.n != x.n:
-        raise ProblemError("direction must live on the trajectory's grid")
-    grid = x.grid
-    t, XL, _ = _cells(grid, x.values)
-    _, UL, U_v = _cells(grid, u.values)
-    W = U_v + np.einsum("...ij,...j->...i", P.g_jacobian_cells(t, XL), UL)
-    endpoints = np.concatenate([u.values[0], u.values[-1]])
-    return ReducedImage(CellPath(grid, W), endpoints)
-
-
 def feasibility_residual(P: ProblemSpec, x: Trajectory) -> tuple[float, float]:
     """(velocity_defect, endpoint_defect) of x; see feasibility_defects."""
-    img = apply_constraint(P, x)
-    velocity_defect, endpoint_defect = feasibility_defects(
-        P, x.grid, img.velocity_part.values, img.endpoints)
+    _check_grid(P, x)
+    W, E = finite_constraint_image(P, x.grid, x.values)
+    velocity_defect, endpoint_defect = feasibility_defects(P, x.grid, W, E)
     return float(velocity_defect), float(endpoint_defect)
 
 
@@ -521,7 +519,8 @@ def estimate_lipschitz(
     The points are evaluated as the copies of one cost_gradient call, up
     to _LIPSCHITZ_NODES / (N + 1) of them (at least one) at a time; the
     steps are drawn in the same order whatever the chunk size, so the
-    estimate does not depend on it.
+    estimate does not depend on it.  A slope that is not finite is a
+    ProblemError.
     """
     if P.lipschitz_ell is not None:
         return LipschitzEstimate(P.lipschitz_ell, "declared")
@@ -542,7 +541,13 @@ def estimate_lipschitz(
             yield X - step
 
     def slopes(Y: np.ndarray) -> list:
-        return ac_dual_norm(cost_gradient(P, grid, Y)).tolist()
+        with np.errstate(all="ignore"):  # a non-finite slope is reported below
+            found = ac_dual_norm(cost_gradient(P, grid, Y))
+        if not np.isfinite(found).all():
+            raise ProblemError("the cost's slope is non-finite at a sample point "
+                               "of the Lipschitz estimate: it overflows near "
+                               "the candidate")
+        return found.tolist()
 
     copies = min(max(1, _LIPSCHITZ_NODES // (grid.N + 1)), 1 + 2 * samples)
     chunk = np.empty((copies, *X.shape))

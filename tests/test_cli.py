@@ -11,6 +11,7 @@ import bolzakit.jsonio as jsonio
 from bolzakit.catalog import get_case
 from bolzakit.cli import main
 from bolzakit.funspace import CellPath, Grid, Trajectory
+from bolzakit.solver import SolverConfig
 
 
 @pytest.fixture
@@ -378,6 +379,53 @@ def test_module_runs_as_a_program(workdir):
     done = _run_program("-m", "bolzakit.cli", "verify", "exp.json", "line.json")
     assert done.returncode == 2, done.stderr
     assert "non-finite at cell 0" in done.stderr
+
+
+def _write_overflowing_cost(workdir):
+    """cost.json with running cost exp(x1^2) + v1^2/2, and near.json on N =
+    10 from x = 30 to 30.1, where that cost overflows."""
+    problem = {
+        "version": 1, "n": 1, "T": 1.0, "terminal_cost": "0",
+        "running_cost": "exp(x1^2)+v1^2/2", "drift": ["0"],
+        "omega1": {"type": "reals", "dim": 1},
+        "omega2": {"type": "reals", "dim": 2},
+    }
+    (workdir / "cost.json").write_text(json.dumps(problem), encoding="utf-8")
+    _write_line(workdir / "near.json", N=10, slope=0.1, offset=30.0)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["check-derivatives", "cost.json", "near.json"],
+     "error: derivative check failed to run: cost gradient is non-finite at "
+     "node 0 (t = 0)"),
+    (["verify", "cost.json", "near.json"],
+     "error: verification failed to run: stationarity row L is non-finite at "
+     "node 0 (t = 0)"),
+    (["probe-cq", "p2.json", "line.json", "--grid", "7"],
+     "error: --grid 7 != the trajectory's 50 cells"),
+], ids=["check-derivatives", "verify", "probe-cq"])
+def test_bad_data_or_flag_writes_only_the_error_line(workdir, argv, message):
+    # an overflowing cost has no derivative to check and no certificate to
+    # pass, and probe-cq restores on the trajectory's grid only: each is bad
+    # input (exit 2) with one error line and no output file
+    _write_overflowing_cost(workdir)
+    _write_case(workdir / "p2.json", "p2")
+    _write_line(workdir / "line.json", N=50)
+    done = _run_program("-m", "bolzakit.cli", *argv)
+    assert done.returncode == 2
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(message), done.stderr
+    assert sorted(os.listdir(workdir)) == ["cost.json", "line.json", "near.json",
+                                           "p2.json"]
+
+
+def test_solver_flag_defaults_are_the_config_defaults(workdir):
+    args = cli.build_parser("solve").parse_args(["solve", "p2.json"])
+    assert cli._solver_config(args) == SolverConfig()
+    # probe-cq's --grid defaults to the trajectory's N
+    _write_case(workdir / "p2.json", "p2")
+    _write_line(workdir / "line.json", N=50)
+    assert main(["probe-cq", "p2.json", "line.json", "--samples", "2"]) == 0
 
 
 @pytest.mark.parametrize("argv", [

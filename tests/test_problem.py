@@ -67,18 +67,23 @@ def test_cost_propagates_domain_error():
 # cost derivative
 
 
+def _gateaux(P, x, u):
+    """The cost's directional derivative at x along u: <cost_gradient(x), u>."""
+    return float(np.einsum("ki,ki->", pb.cost_gradient(P, x.grid, x.values), u.values))
+
+
 def test_gateaux_line_direction():
     case = get_case("p1")
     grid = Grid(1.0, 64)
     x = _line(grid)
-    assert pb.gateaux_J(case.problem, x, x) == pytest.approx(1.0)
+    assert _gateaux(case.problem, x, x) == pytest.approx(1.0)
 
 
 def test_gateaux_zero_direction():
     case = get_case("p1")
     grid = Grid(1.0, 16)
     u = Trajectory(grid, np.zeros((17, 1)))
-    assert pb.gateaux_J(case.problem, _line(grid), u) == 0.0
+    assert _gateaux(case.problem, _line(grid), u) == 0.0
 
 
 def _random_problem(rng, n):
@@ -103,7 +108,7 @@ def test_gateaux_matches_central_difference():
         u = random_trajectory(grid, n, rng, scale=0.5)
         try:
             with np.errstate(over="ignore", invalid="ignore"):
-                sym = pb.gateaux_J(P, x, u)
+                sym = _gateaux(P, x, u)
                 fd = (
                     pb.evaluate_cost(P, x + eps * u)
                     - pb.evaluate_cost(P, x - eps * u)
@@ -125,8 +130,8 @@ def test_gateaux_linear_in_direction():
         u1 = random_trajectory(grid, 1, rng)
         u2 = random_trajectory(grid, 1, rng)
         a = float(rng.uniform(-2, 2))
-        lhs = pb.gateaux_J(case.problem, x, a * u1 + u2)
-        rhs = a * pb.gateaux_J(case.problem, x, u1) + pb.gateaux_J(
+        lhs = _gateaux(case.problem, x, a * u1 + u2)
+        rhs = a * _gateaux(case.problem, x, u1) + _gateaux(
             case.problem, x, u2
         )
         scale = 1.0 + abs(lhs)
@@ -142,7 +147,7 @@ def test_gateaux_bounded_by_estimated_lipschitz():
     for _ in range(100):
         u = random_trajectory(grid, 1, rng)
         bound = est.value * ac_norm(u)
-        assert abs(pb.gateaux_J(case.problem, x, u)) <= bound + 1e-9
+        assert abs(_gateaux(case.problem, x, u)) <= bound + 1e-9
 
 
 def _box_problem():
@@ -183,6 +188,17 @@ def test_estimate_lipschitz_evaluates_no_cost(monkeypatch):
     assert est.value > 0 and est.provenance == "estimated"
 
 
+def test_estimate_rejects_a_non_finite_slope():
+    # the line rises to 350 at the last left node, so the slope at it is
+    # finite; the sample steps reach ac-norm 0.1 * (1 + 11050), and the cost
+    # gradient overflows at some of them: no modulus can be reported
+    P = _make(theta="exp(x1)+v1^2/2")
+    x = _line(Grid(1.0, 10), slope=6000.0, offset=-5050.0)
+    assert np.isfinite(ac_dual_norm(pb.cost_gradient(P, x.grid, x.values)))
+    with pytest.raises(pb.ProblemError, match="slope is non-finite"):
+        pb.estimate_lipschitz(P, x)
+
+
 _COPY_PROBLEMS = {
     # curved theta in (t, x, v), a terminal cost in both endpoints and a
     # nonlinear drift: every part of the node scatters and of the Hessian
@@ -199,21 +215,24 @@ _COPY_PROBLEMS = {
 
 def _node_blocks(add):
     """A Hessian kernel as node blocks, copy axis first."""
-    def run(P, grid, X, MU, S, JW, JE):
+    def run(P, grid, X, MU, S, JW, JE, U):
         blocks = pb.node_blocks(grid, P.n, len(X))
         add(blocks, P, grid, X, MU, JW, JE)
         return [np.moveaxis(block, 2, 0) for block in blocks]
     return run
 
 
-# each kernel's outputs on node arrays X, cell values MU, endpoint vectors S
-# and Hessians JW, JE, with the copies on the leading axis
+# each kernel's outputs on node arrays X, cell values MU, endpoint vectors S,
+# Hessians JW, JE and node arrays U, with the copies on the leading axis
 _COPY_KERNELS = {
-    "cost": lambda P, grid, X, MU, S, JW, JE: [pb.cost(P, grid, X)],
-    "cost_gradient": lambda P, grid, X, MU, S, JW, JE: [pb.cost_gradient(P, grid, X)],
-    "constraint_image": lambda P, grid, X, MU, S, JW, JE: list(
+    "cost": lambda P, grid, X, MU, S, JW, JE, U: [pb.cost(P, grid, X)],
+    "cost_gradient": lambda P, grid, X, MU, S, JW, JE, U: [
+        pb.cost_gradient(P, grid, X)],
+    "constraint_image": lambda P, grid, X, MU, S, JW, JE, U: list(
         pb.constraint_image(P, grid, X)),
-    "constraint_adjoint": lambda P, grid, X, MU, S, JW, JE: [
+    "constraint_derivative": lambda P, grid, X, MU, S, JW, JE, U: list(
+        pb.constraint_derivative(P, grid, X, U)),
+    "constraint_adjoint": lambda P, grid, X, MU, S, JW, JE, U: [
         pb.constraint_adjoint(P, grid, X, MU, S)],
     "cost_hessian": _node_blocks(
         lambda blocks, P, grid, X, MU, JW, JE: pb.add_cost_hessian(blocks, P, grid, X)),
@@ -232,7 +251,7 @@ def test_kernel_copies_match_one_curve_calls(kernel, problem):
     B, N, n = 4, grid.N, 2
     args = (0.5 * rng.standard_normal((B, N + 1, n)), rng.standard_normal((B, N, n)),
             rng.standard_normal((B, 2 * n)), rng.standard_normal((B, N, n, n)),
-            rng.standard_normal((B, 2 * n, 2 * n)))
+            rng.standard_normal((B, 2 * n, 2 * n)), rng.standard_normal((B, N + 1, n)))
     run = _COPY_KERNELS[kernel]
     outputs = run(P, grid, *args)
     blocks = kernel.endswith("hessian")
@@ -339,9 +358,9 @@ def test_estimate_memory_stays_bounded(N):
 def test_apply_constraint_zero_drift():
     case = get_case("p1")
     grid = Grid(1.0, 8)
-    img = pb.apply_constraint(case.problem, _line(grid))
-    assert np.allclose(img.velocity_part.values, 1.0)
-    assert np.allclose(img.endpoints, [0.0, 1.0])
+    W, E = pb.constraint_image(case.problem, grid, _line(grid).values)
+    assert np.allclose(W, 1.0)
+    assert np.allclose(E, [0.0, 1.0])
 
 
 def test_apply_constraint_constant_curve_with_identity_drift():
@@ -349,9 +368,9 @@ def test_apply_constraint_constant_curve_with_identity_drift():
     grid = Grid(1.0, 6)
     c = 2.5
     x = Trajectory(grid, np.full((7, 1), c))
-    img = pb.apply_constraint(P, x)
-    assert np.allclose(img.velocity_part.values, c)
-    assert np.allclose(img.endpoints, [c, c])
+    W, E = pb.constraint_image(P, grid, x.values)
+    assert np.allclose(W, c)
+    assert np.allclose(E, [c, c])
 
 
 def test_apply_constraint_drift_case_two_cells():
@@ -359,8 +378,8 @@ def test_apply_constraint_drift_case_two_cells():
     # the drift adds the left-node state, so w = (1 + 0, 1 + 0.5)
     case = get_case("p4")
     grid = Grid(1.0, 2)
-    img = pb.apply_constraint(case.problem, _line(grid))
-    assert np.allclose(img.velocity_part.values[:, 0], [1.0, 1.5])
+    W, _ = pb.constraint_image(case.problem, grid, _line(grid).values)
+    assert np.allclose(W[:, 0], [1.0, 1.5])
 
 
 def test_apply_constraint_derivative_zero_drift_is_linear_part():
@@ -368,17 +387,17 @@ def test_apply_constraint_derivative_zero_drift_is_linear_part():
     grid = Grid(1.0, 12)
     rng = np.random.default_rng(3)
     u = random_trajectory(grid, 1, rng)
-    img = pb.apply_constraint_derivative(case.problem, _line(grid), u)
-    assert np.allclose(img.velocity_part.values, u.velocities())
-    assert np.allclose(img.endpoints, [u.values[0, 0], u.values[-1, 0]])
+    DW, DE = pb.constraint_derivative(case.problem, grid, _line(grid).values, u.values)
+    assert np.allclose(DW, u.velocities())
+    assert np.allclose(DE, [u.values[0, 0], u.values[-1, 0]])
 
 
 def test_apply_constraint_derivative_quadratic_drift():
     P = _make(g=("x1^2",))
     grid = Grid(1.0, 5)
-    ones = Trajectory(grid, np.ones((6, 1)))
-    img = pb.apply_constraint_derivative(P, ones, ones)
-    assert np.allclose(img.velocity_part.values, 2.0)  # 0 + 2 x u at x = u = 1
+    ones = np.ones((6, 1))
+    DW, _ = pb.constraint_derivative(P, grid, ones, ones)
+    assert np.allclose(DW, 2.0)  # 0 + 2 x u at x = u = 1
 
 
 def test_constraint_linearization_taylor_order():
@@ -393,11 +412,11 @@ def test_constraint_linearization_taylor_order():
     defects = []
     for s in sizes:
         u = s * d
-        base = pb.apply_constraint(P, x)
-        lin = pb.apply_constraint_derivative(P, x, u)
-        shifted = pb.apply_constraint(P, x + u)
-        dv = shifted.velocity_part.values - base.velocity_part.values - lin.velocity_part.values
-        de = shifted.endpoints - base.endpoints - lin.endpoints
+        W, E = pb.finite_constraint_image(P, grid, x.values)
+        DW, DE = pb.constraint_derivative(P, grid, x.values, u.values)
+        W1, E1 = pb.finite_constraint_image(P, grid, (x + u).values)
+        dv = W1 - W - DW
+        de = E1 - E - DE
         h = grid.h
         defects.append(
             float(h * np.linalg.norm(dv, axis=1).sum() + np.linalg.norm(de))
@@ -417,29 +436,40 @@ def test_constraint_derivative_first_order_accurate():
         x = random_trajectory(grid, n, rng, scale=0.5)
         u = random_trajectory(grid, n, rng, scale=0.5)
         try:
-            base = pb.apply_constraint(P, x)
-            lin = pb.apply_constraint_derivative(P, x, u)
-            shifted = pb.apply_constraint(P, x + eps * u)
+            W, E = pb.finite_constraint_image(P, grid, x.values)
+            DW, DE = pb.constraint_derivative(P, grid, x.values, u.values)
+            W1, E1 = pb.finite_constraint_image(P, grid, (x + eps * u).values)
         except ex.ExprDomainError:
             continue
-        dv = (
-            shifted.velocity_part.values - base.velocity_part.values
-        ) / eps - lin.velocity_part.values
-        de = (shifted.endpoints - base.endpoints) / eps - lin.endpoints
+        dv = (W1 - W) / eps - DW
+        de = (E1 - E) / eps - DE
         h = grid.h
         defect = float(h * np.linalg.norm(dv, axis=1).sum() + np.linalg.norm(de))
-        assert defect <= 1e-4 * (1.0 + pb.reduced_image_norm(lin))
+        lin_norm = float(h * np.linalg.norm(DW, axis=1).sum() + np.linalg.norm(DE))
+        assert defect <= 1e-4 * (1.0 + lin_norm)
         # the adjoint is the transpose of the linearization:
         # <adjoint(MU, S), U> = h sum_k <MU_k, (Du)_k> + <S, (u_0, u_N)>
         MU = rng.standard_normal((grid.N, n))
         S = rng.standard_normal(2 * n)
         adj = pb.constraint_adjoint(P, grid, x.values, MU, S)
         lhs = float(np.einsum("ki,ki->", adj, u.values))
-        rhs = h * float(np.einsum("ki,ki->", MU, lin.velocity_part.values)) + float(
-            S @ lin.endpoints
-        )
+        rhs = h * float(np.einsum("ki,ki->", MU, DW)) + float(S @ DE)
         assert abs(lhs - rhs) <= 1e-12 * (1.0 + float(np.abs(adj * u.values).sum()))
         checked += 1
+
+
+@pytest.mark.parametrize("bad, message", [
+    ([700.0, 700.0, 700.0, 800.0, 800.0],
+     r"running cost theta\(t, x, v\) is non-finite at cell 3 \(t = 0.75\)"),
+    ([709.7] * 5, "cost is non-finite: .* the sum over the cells overflows"),
+], ids=["cell", "sum"])
+def test_finite_cost_names_where_the_cost_overflows(bad, message):
+    # the second copy's cost is no number: exp overflows in its cell 3, or
+    # every cell is finite and their sum overflows
+    P = _make(theta="exp(x1)")
+    X = np.stack([np.full((5, 1), 700.0), np.array(bad)[:, None]])
+    with pytest.raises(pb.ProblemError, match=message):
+        pb.finite_cost(P, Grid(1.0, 4), X)
 
 
 # ---------------------------------------------------------------------------

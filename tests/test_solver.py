@@ -85,13 +85,13 @@ def test_dual_feasibility_at_convergence():
         case = get_case(cid)
         r = sv.solve(case.problem, sv.SolverConfig(grid_N=120))
         assert r.converged
-        img = pb.apply_constraint(case.problem, r.x)
-        slack = project(case.problem.omega1, img.velocity_part.values)
+        W, E = pb.finite_constraint_image(case.problem, r.x.grid, r.x.values)
+        slack = project(case.problem.omega1, W)
         scale = 1.0 + np.linalg.norm(r.mu.values, axis=1)
         probe = r.mu.values / scale[:, None]
         res = normal_cone_residual(case.problem.omega1, slack, probe)
         assert float(np.asarray(res).max()) <= 1e-4
-        z = project(case.problem.omega2, img.endpoints)
+        z = project(case.problem.omega2, E)
         s = np.concatenate([r.s1, r.s2])
         s_res = normal_cone_residual(
             case.problem.omega2, z, s / (1.0 + np.linalg.norm(s))
