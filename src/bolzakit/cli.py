@@ -218,22 +218,16 @@ def _cmd_verify(args) -> int:
             )
         except (jsonio.FormatError, ValueError) as err:
             raise _CliError(f"{args.multipliers}: {err}") from err
-        if not mu.grid.compatible(grid) or mu.n != P.n:
-            raise _CliError(
-                "multiplier grid/dimension does not match the trajectory"
-            )
+    elif args.mu:
+        try:
+            mu = jsonio.cellpath_from_json(jsonio.load_json(args.mu))
+        except (jsonio.FormatError, ValueError) as err:
+            raise _CliError(f"{args.mu}: {err}") from err
     else:
-        if args.mu:
-            try:
-                mu = jsonio.cellpath_from_json(jsonio.load_json(args.mu))
-            except (jsonio.FormatError, ValueError) as err:
-                raise _CliError(f"{args.mu}: {err}") from err
-            if not mu.grid.compatible(grid) or mu.n != P.n:
-                raise _CliError(
-                    "multiplier grid/dimension does not match the trajectory"
-                )
-        else:
-            mu = CellPath(grid, np.zeros((grid.N, P.n)))
+        mu = CellPath(grid, np.zeros((grid.N, P.n)))
+    if not mu.grid.compatible(grid) or mu.n != P.n:
+        raise _CliError("multiplier grid/dimension does not match the trajectory")
+    if not args.multipliers:
         s1 = _parse_vector(args.s1, P.n, "--s1")
         s2 = _parse_vector(args.s2, P.n, "--s2")
     try:

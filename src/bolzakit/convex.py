@@ -521,10 +521,6 @@ def distance(S: ConvexSet, y) -> float | np.ndarray:
     return float(d[0]) if single else d
 
 
-def contains(S: ConvexSet, y, tol: float = FEASIBILITY_TOL) -> bool:
-    return bool(np.all(np.asarray(distance(S, y)) <= tol))
-
-
 # ---------------------------------------------------------------------------
 # support functions
 

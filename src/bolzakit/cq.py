@@ -11,12 +11,13 @@ from above by a feasibility restoration, and reports the largest
 observed ratio.  The result is a lower estimate of any valid kappa (up
 to restoration slack) and never a proof that the qualification holds.
 
-The restorations are independent, so the probe draws every perturbation
-first, measures the defects of all of them in one constraint image, and
-restores the active ones as the copies of one ALM (a few ALMs on fine
-grids).  They share the penalty and the stop; each copy's
-converged flag is its own stop test, and a sample whose restoration did
-not converge is dropped as before.
+The restorations are independent, so the probe works on node arrays
+(S, N+1, n) from the draw to the ratios: it draws every perturbation in
+one call (the stream of one draw per sample), measures the defects of
+all of them in one constraint image, and restores the active ones as
+the copies of one ALM (a few ALMs on fine grids).  They share the
+penalty and the stop; each copy's converged flag is its own stop test,
+and a sample whose restoration did not converge is dropped.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import problem as pb
-from .funspace import Trajectory, ac_norm, random_trajectory
+from .funspace import Trajectory, ac_norms
 from .solver import SolverConfig, restore_feasibility
 
 
@@ -83,36 +84,33 @@ def probe_kappa(
         )
     rng = np.random.default_rng(seed)
     grid = xbar.grid
-    curves = []
-    for _ in range(samples):
-        d = random_trajectory(grid, P.n, rng)
-        norm = ac_norm(d)
-        if norm < 1e-14:  # a null perturbation is excluded
-            continue
-        curves.append(xbar + (delta / norm) * d)
-    rhs = []  # the constraint defect of each curve
-    if curves:
-        W, E = pb.finite_constraint_image(
-            P, grid, np.stack([x.values for x in curves]))
-        vel, ends = pb.feasibility_defects(P, grid, W, E)
-        rhs = (vel + ends).tolist()
-    active = [x for x, r in zip(curves, rhs) if r > _RHS_FLOOR]
-    restored = iter(restore_feasibility(P, active, cfg))
+    D = rng.standard_normal((samples, grid.N + 1, P.n))
+    norms = ac_norms(D, grid.h)
+    live = norms >= 1e-14  # a null perturbation is excluded
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below
+        X = xbar.values + (delta / norms[live])[:, None, None] * D[live]
+    if not np.isfinite(X).all():
+        raise ValueError("trajectory values contains non-finite entries")
+    W, E = pb.finite_constraint_image(P, grid, X)
+    rhs = np.add(*pb.feasibility_defects(P, grid, W, E))  # each curve's defect
+    active = rhs > _RHS_FLOOR
+    _, gaps, converged = restore_feasibility(P, grid, X[active], cfg)
+    restored = zip(gaps.tolist(), converged.tolist())
     records: list[CqSample] = []
     kappa_hat: float | None = None
-    excluded = samples - len(curves)
+    excluded = samples - len(X)
     dropped = 0
-    for r in rhs:
+    for r in rhs.tolist():
         if r <= _RHS_FLOOR:
             excluded += 1
             records.append(CqSample(delta, 0.0, r, None))
             continue
-        res = next(restored)
-        if not res.converged:
+        gap, ok = next(restored)
+        if not ok:
             dropped += 1
             continue
-        ratio = res.ac_gap / r
-        records.append(CqSample(delta, res.ac_gap, r, ratio))
+        ratio = gap / r
+        records.append(CqSample(delta, gap, r, ratio))
         kappa_hat = ratio if kappa_hat is None else max(kappa_hat, ratio)
     admitted = sum(1 for r in records if r.ratio is not None)
     caveat = (

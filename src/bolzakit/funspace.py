@@ -45,9 +45,6 @@ class Grid:
     def cell_lefts(self) -> np.ndarray:
         return self._nodes[:-1]
 
-    def cell_mids(self) -> np.ndarray:
-        return self.nodes()[:-1] + 0.5 * self.h
-
     def compatible(self, other: "Grid") -> bool:
         return self.N == other.N and abs(self.T - other.T) <= 1e-12 * max(
             1.0, abs(self.T)
@@ -85,25 +82,6 @@ class Trajectory:
     def midpoint_values(self) -> np.ndarray:
         return 0.5 * (self.values[:-1] + self.values[1:])
 
-    def _check_mate(self, other: "Trajectory"):
-        if not isinstance(other, Trajectory):
-            raise TypeError("expected a Trajectory")
-        if not self.grid.compatible(other.grid) or self.n != other.n:
-            raise ValueError("trajectories live on incompatible grids")
-
-    def __add__(self, other: "Trajectory") -> "Trajectory":
-        self._check_mate(other)
-        return Trajectory(self.grid, self.values + other.values)
-
-    def __sub__(self, other: "Trajectory") -> "Trajectory":
-        self._check_mate(other)
-        return Trajectory(self.grid, self.values - other.values)
-
-    def __rmul__(self, scalar: float) -> "Trajectory":
-        return Trajectory(self.grid, float(scalar) * self.values)
-
-    __mul__ = __rmul__
-
 
 class CellPath:
     """Piecewise-constant function given by cell values of shape (N, n)."""
@@ -122,12 +100,53 @@ def row_norms(arr: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("...i,...i->...", arr, arr))
 
 
+def _dots(A: np.ndarray) -> np.ndarray:
+    """<a, a> for each row a (last axis) of A; the stacked product is the
+    BLAS dot of one vector, so each row sums as a plain a @ a (and
+    np.linalg.norm) does."""
+    return (A[..., None, :] @ A[..., :, None])[..., 0, 0]
+
+
+def _rescaled(norms: np.ndarray, A: np.ndarray) -> np.ndarray:
+    """norms, the Euclidean norms of the rows of A, with each one that
+    overflowed at a finite row measured again on the row scaled by a power
+    of two: a norm is then infinite only beyond the float range, and every
+    finite one keeps its bits."""
+    lost = np.isinf(norms)
+    if lost.any():
+        lost &= np.isfinite(A).all(axis=-1)
+        rows = A[lost]
+        exponent = np.frexp(np.abs(rows).max(axis=-1))[1]
+        with np.errstate(over="ignore"):
+            norms[lost] = np.ldexp(row_norms(np.ldexp(rows, -exponent[:, None])),
+                                   exponent)
+    return norms
+
+
+def scaled_row_norms(arr: np.ndarray) -> np.ndarray:
+    """row_norms of an array of at least two axes, finite for finite rows
+    whose squares overflow."""
+    return _rescaled(row_norms(arr), arr)
+
+
+def vector_norm(a: np.ndarray) -> float:
+    """np.linalg.norm of a vector, finite when its squares overflow."""
+    A = np.asarray(a, dtype=float)[None]
+    with np.errstate(over="ignore"):
+        norms = np.sqrt(_dots(A))
+    return float(_rescaled(norms, A)[0])
+
+
+def ac_norms(X: np.ndarray, h: float) -> np.ndarray:
+    """||x(0)|| + integral of ||x'|| of each copy of the node arrays X
+    (..., N+1, n) on a grid of width h; exact for piecewise-linear curves."""
+    V = np.diff(X, axis=-2) / h
+    return np.sqrt(_dots(X[..., 0, :])) + h * row_norms(V).sum(axis=-1)
+
+
 def ac_norm(x: Trajectory) -> float:
-    """||x(0)|| + integral of ||x'||; exact for piecewise-linear curves."""
-    h = x.grid.h
-    return float(
-        np.linalg.norm(x.values[0]) + h * row_norms(x.velocities()).sum()
-    )
+    """||x(0)|| + integral of ||x'|| of one curve (ac_norms)."""
+    return float(ac_norms(x.values, x.grid.h))
 
 
 def tail_sums(G: np.ndarray) -> np.ndarray:
@@ -142,8 +161,9 @@ def ac_dual_norm(G: np.ndarray) -> float | np.ndarray:
     """Dual of ac_norm under the node pairing <G, u> = sum_k <G_k, u_k>:
     the largest row norm of tail_sums(G).  A unit step u_m = e for m >= k,
     at the row k where it is attained, reaches it.  Leading axes are
-    copies, with one norm each."""
-    norms = row_norms(tail_sums(G)).max(axis=-1)
+    copies, with one norm each.  A row whose squares overflow is measured
+    scaled (scaled_row_norms)."""
+    norms = scaled_row_norms(tail_sums(G)).max(axis=-1)
     return float(norms) if norms.ndim == 0 else norms
 
 
@@ -255,7 +275,3 @@ def weak_identity_defect(
         worst = max(worst, float(np.abs(defect).max()))
     return worst
 
-
-def random_trajectory(grid: Grid, n: int, rng: np.random.Generator, scale: float = 1.0) -> Trajectory:
-    """Node-Gaussian random trajectory; used by probes and property tests."""
-    return Trajectory(grid, scale * rng.standard_normal((grid.N + 1, n)))

@@ -46,7 +46,7 @@ from .convex import (
     project,
     support,
 )
-from .funspace import CellPath, Trajectory, row_norms
+from .funspace import CellPath, Trajectory, row_norms, scaled_row_norms, vector_norm
 
 # the default EL tolerance is EL_BASE * (1 + running-cost gradient scale)
 EL_BASE = 1e-3
@@ -362,12 +362,10 @@ def certify(
             "evaluated as failed"
         )
 
-    consistency = float(
-        np.linalg.norm(xi[: P.n] - s1) + np.linalg.norm(xi[P.n :] - s2)
-    )
+    consistency = vector_norm(xi[: P.n] - s1) + vector_norm(xi[P.n :] - s2)
 
-    mu_sup = float(row_norms(mu.values).max(initial=0.0))
-    s_norm = float(np.linalg.norm(np.concatenate([s1, s2])))
+    mu_sup = float(scaled_row_norms(mu.values).max(initial=0.0))
+    s_norm = vector_norm(np.concatenate([s1, s2]))
     lam = max(mu_sup, s_norm)
 
     ell_val: float | None = None

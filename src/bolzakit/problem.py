@@ -37,7 +37,7 @@ import numpy as np
 
 from . import expr as ex
 from .convex import ConvexSet, distance
-from .funspace import Grid, Trajectory, ac_dual_norm, ac_norm
+from .funspace import Grid, Trajectory, ac_dual_norm, ac_norms
 
 
 class ProblemError(ValueError):
@@ -527,13 +527,13 @@ def estimate_lipschitz(
     _check_grid(P, xbar)
     rng = np.random.default_rng(seed)
     grid, X = xbar.grid, xbar.values
-    radius = 0.1 * (1.0 + ac_norm(xbar))
+    radius = 0.1 * (1.0 + ac_norms(X, grid.h))
 
     def points():
         yield X
         for _ in range(samples):
             d = _sample_direction(grid, P.n, rng)
-            norm_d = ac_norm(Trajectory(grid, d))
+            norm_d = ac_norms(d, grid.h)
             if norm_d < 1e-12:
                 continue
             step = (radius * rng.uniform(0.2, 1.0) / norm_d) * d

@@ -57,7 +57,7 @@ import numpy as np
 from . import blocktri
 from . import problem as pb
 from .convex import ConvexSetError, project, project_normal_cone, residual_jacobian
-from .funspace import CellPath, Grid, Trajectory, ac_norm, row_norms, tail_sums
+from .funspace import CellPath, Grid, Trajectory, _dots, ac_norms, row_norms, tail_sums
 
 
 class SolverError(RuntimeError):
@@ -110,13 +110,6 @@ class SolveResult:
     history: list = field(default_factory=list)
 
 
-@dataclass
-class RestoreResult:
-    y: Trajectory
-    ac_gap: float
-    converged: bool
-
-
 def _restore_objective(grid: Grid, X_ref: np.ndarray):
     """Half squared deviation from reference curves X_ref (B, N+1, n),
     measured on the initial value and the cell velocities and summed over
@@ -133,11 +126,7 @@ def _restore_objective(grid: Grid, X_ref: np.ndarray):
 
     def grad(X: np.ndarray) -> np.ndarray:
         dv = np.diff(X, axis=1) / h - v_ref
-        out = np.zeros_like(X)
-        out[:, :-1] -= dv
-        out[:, 1:] += dv
-        out[:, 0] += X[:, 0] - x0_ref
-        return out
+        return pb._scatter(grid, 0.0, dv, X[:, 0] - x0_ref, 0.0)
 
     def hess(blocks, X: np.ndarray):
         _add_curve_metric(blocks, grid, 1.0)
@@ -152,12 +141,6 @@ def _add_curve_metric(blocks, grid: Grid, weight: float):
     ends = np.zeros((2 * n, 2 * n))
     ends[:n, :n] = weight * np.eye(n)
     pb.add_cell_form(blocks, grid, vv=weight * np.eye(n)[None, None], ends=ends)
-
-
-def _dots(A: np.ndarray) -> np.ndarray:
-    """<a, a> for each row a of A; the stacked product is the BLAS dot of
-    one vector, so a single copy sums as a plain a @ a does."""
-    return (A[:, None, :] @ A[:, :, None])[:, 0, 0]
 
 
 def _snapshot(X: np.ndarray) -> np.ndarray:
@@ -486,35 +469,31 @@ _RESTORE_NODES = 2 ** 14
 
 
 def restore_feasibility(
-    P: pb.ProblemSpec, xs: list, cfg: SolverConfig
-) -> list:
-    """Project each curve of xs toward the feasible set: minimize half the
-    squared deviation (initial value and velocities) over feasible curves
-    and report the ac-norm gap, an upper bound for the ac-distance of the
-    curve from the feasible set at this discretization.  Returns one
-    RestoreResult per curve, in order.
+    P: pb.ProblemSpec, grid: Grid, X: np.ndarray, cfg: SolverConfig
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Project each curve of the node arrays X (S, N+1, n) on ``grid``
+    toward the feasible set: minimize half the squared deviation (initial
+    value and velocities) over feasible curves.  Returns (Y, gaps,
+    converged): the restored curves, their ac-norm gaps ac_norms(Y - X), an
+    upper bound for each curve's ac-distance from the feasible set at this
+    discretization, and the converged flags.
 
-    The curves share one grid, and up to _RESTORE_NODES / (N + 1) of them
-    (at least one) are restored as copies of one ALM.  A nonconverged
-    restoration still returns its best curve, with converged=False marking
-    the bound unverified.
+    Up to _RESTORE_NODES / (N + 1) curves (at least one) are restored as
+    copies of one ALM.  A nonconverged restoration still returns its best
+    curve, with converged False marking its gap unverified.
     """
-    results = []
-    for x in xs:
-        pb._check_grid(P, x)
-        if not x.grid.compatible(xs[0].grid):
-            raise SolverError("curves to restore must share one grid")
-    if not xs:
-        return results
-    grid = xs[0].grid
+    X = np.asarray(X, dtype=float)
+    if (abs(grid.T - P.T) > 1e-12 * max(1.0, abs(P.T)) or X.ndim != 3
+            or X.shape[1:] != (grid.N + 1, P.n) or not np.isfinite(X).all()):
+        raise pb.ProblemError(
+            f"curves to restore must be finite node arrays (S, {grid.N + 1}, "
+            f"{P.n}) on the problem horizon {P.T}")
     copies = max(1, _RESTORE_NODES // (grid.N + 1))
-    for start in range(0, len(xs), copies):
-        chunk = xs[start : start + copies]
-        X_ref = np.stack([x.values for x in chunk])
-        state, _, converged, _ = _run_alm(
-            P, cfg, grid, *_restore_objective(grid, X_ref), X_ref)
-        for x, Y, ok in zip(chunk, state.X, converged):
-            y = Trajectory(grid, Y)
-            results.append(RestoreResult(y=y, ac_gap=ac_norm(y - x),
-                                         converged=bool(ok)))
-    return results
+    Y = np.empty_like(X)
+    converged = np.zeros(len(X), dtype=bool)
+    for start in range(0, len(X), copies):
+        chunk = slice(start, start + copies)
+        state, _, ok, _ = _run_alm(
+            P, cfg, grid, *_restore_objective(grid, X[chunk]), X[chunk])
+        Y[chunk], converged[chunk] = state.X, ok
+    return Y, ac_norms(Y - X, grid.h), converged

@@ -13,6 +13,7 @@ import itertools
 import numpy as np
 
 from bolzakit import expr as ex
+from bolzakit.funspace import Grid, Trajectory
 
 
 def central_diff(f, x: float, step: float = 1e-6) -> float:
@@ -120,6 +121,12 @@ def _random_node(rng, names, depth, allow_exp):
 
 def random_env(rng: np.random.Generator, names, scale: float = 1.5) -> dict:
     return {name: float(rng.uniform(-scale, scale)) for name in names}
+
+
+def random_trajectory(grid: Grid, n: int, rng: np.random.Generator,
+                      scale: float = 1.0) -> Trajectory:
+    """Node-Gaussian random trajectory."""
+    return Trajectory(grid, scale * rng.standard_normal((grid.N + 1, n)))
 
 
 def fit_order(hs, errors) -> float:

@@ -22,7 +22,7 @@ from bolzakit.catalog import get_case
 from bolzakit.cli import main
 from bolzakit.funspace import CellPath, Grid, Trajectory
 
-from oracles import fit_order, random_expr
+from oracles import fit_order, random_expr, random_trajectory
 
 
 def _report(name: str, started: float, budget: float):
@@ -43,7 +43,7 @@ def test_acceptance_norm_equivalence_suite():
     for i in range(total):
         T, N = combos[i % len(combos)]
         n = int(rng.integers(1, 4))
-        x = fs.random_trajectory(Grid(T, N), n, rng, scale=2.0)
+        x = random_trajectory(Grid(T, N), n, rng, scale=2.0)
         ac = fs.ac_norm(x)
         oo = fs.one_one_norm(x)
         sup = fs.sup_norm(x)
@@ -74,19 +74,19 @@ def test_acceptance_derivative_oracles():
             omega2=cx.Reals(2 * n),
         )
         grid = Grid(1.0, 20)
-        x = fs.random_trajectory(grid, n, rng, scale=0.5)
-        u = fs.random_trajectory(grid, n, rng, scale=0.5)
+        x = random_trajectory(grid, n, rng, scale=0.5)
+        u = random_trajectory(grid, n, rng, scale=0.5)
         try:
             with np.errstate(over="ignore", invalid="ignore"):
                 sym = float(np.einsum(
                     "ki,ki->", pb.cost_gradient(P, grid, x.values), u.values))
                 fd = (
-                    pb.evaluate_cost(P, x + eps * u)
-                    - pb.evaluate_cost(P, x - eps * u)
+                    pb.evaluate_cost(P, Trajectory(grid, x.values + eps * u.values))
+                    - pb.evaluate_cost(P, Trajectory(grid, x.values - eps * u.values))
                 ) / (2 * eps)
                 fd_fine = (
-                    pb.evaluate_cost(P, x + 0.25 * eps * u)
-                    - pb.evaluate_cost(P, x - 0.25 * eps * u)
+                    pb.evaluate_cost(P, Trajectory(grid, x.values + 0.25 * eps * u.values))
+                    - pb.evaluate_cost(P, Trajectory(grid, x.values - 0.25 * eps * u.values))
                 ) / (0.5 * eps)
         except ex.ExprDomainError:
             continue
@@ -110,16 +110,16 @@ def test_acceptance_derivative_oracles():
         omega2=cx.Reals(2),
     )
     grid = Grid(1.0, 40)
-    x = fs.random_trajectory(grid, 1, rng, scale=0.5)
-    d = fs.random_trajectory(grid, 1, rng)
-    d = (1.0 / fs.ac_norm(d)) * d
+    x = random_trajectory(grid, 1, rng, scale=0.5)
+    d = random_trajectory(grid, 1, rng)
+    d = (1.0 / fs.ac_norm(d)) * d.values
     sizes = [1e-1, 1e-2, 1e-3, 1e-4]
     defects = []
     for s in sizes:
-        u = s * d
+        U = s * d
         W, E = pb.finite_constraint_image(P, grid, x.values)
-        DW, DE = pb.constraint_derivative(P, grid, x.values, u.values)
-        W1, E1 = pb.finite_constraint_image(P, grid, (x + u).values)
+        DW, DE = pb.constraint_derivative(P, grid, x.values, U)
+        W1, E1 = pb.finite_constraint_image(P, grid, x.values + U)
         dv = W1 - W - DW
         de = E1 - E - DE
         defects.append(

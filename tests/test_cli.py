@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -381,16 +382,22 @@ def test_module_runs_as_a_program(workdir):
     assert "non-finite at cell 0" in done.stderr
 
 
-def _write_overflowing_cost(workdir):
-    """cost.json with running cost exp(x1^2) + v1^2/2, and near.json on N =
-    10 from x = 30 to 30.1, where that cost overflows."""
+def _write_cost(path, running_cost):
+    """A one-state problem with this running cost, no drift and no
+    constraints."""
     problem = {
         "version": 1, "n": 1, "T": 1.0, "terminal_cost": "0",
-        "running_cost": "exp(x1^2)+v1^2/2", "drift": ["0"],
+        "running_cost": running_cost, "drift": ["0"],
         "omega1": {"type": "reals", "dim": 1},
         "omega2": {"type": "reals", "dim": 2},
     }
-    (workdir / "cost.json").write_text(json.dumps(problem), encoding="utf-8")
+    path.write_text(json.dumps(problem), encoding="utf-8")
+
+
+def _write_overflowing_cost(workdir):
+    """cost.json with running cost exp(x1^2) + v1^2/2, and near.json on N =
+    10 from x = 30 to 30.1, where that cost overflows."""
+    _write_cost(workdir / "cost.json", "exp(x1^2)+v1^2/2")
     _write_line(workdir / "near.json", N=10, slope=0.1, offset=30.0)
 
 
@@ -417,6 +424,32 @@ def test_bad_data_or_flag_writes_only_the_error_line(workdir, argv, message):
     assert len(lines) == 1 and lines[0].startswith(message), done.stderr
     assert sorted(os.listdir(workdir)) == ["cost.json", "line.json", "near.json",
                                            "p2.json"]
+
+
+def test_endpoint_multipliers_whose_squares_overflow_leave_one_error_line(workdir):
+    # at x = 700 the endpoint multipliers of exp(x1) are near 1e304: their
+    # norm is finite and raises no numpy warning, and the Lipschitz
+    # estimate, whose sample points overflow the cost, is the one error
+    _write_cost(workdir / "exp.json", "exp(x1)+v1^2/2")
+    _write_line(workdir / "x.json", N=10, slope=0.0, offset=700.0)
+    done = _run_program("-m", "bolzakit.cli", "verify", "exp.json", "x.json",
+                        "--kappa", "10")
+    assert done.returncode == 2
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), done.stderr
+
+
+def test_lipschitz_estimate_measures_slopes_whose_squares_overflow(workdir):
+    # at x = 18 every cost gradient of exp(x1^2) is finite, and the tail
+    # sums near 1e175 have a finite norm although their squares overflow
+    _write_cost(workdir / "cost.json", "exp(x1^2)+v1^2/2")
+    _write_line(workdir / "x.json", N=10, slope=0.0, offset=18.0)
+    done = _run_program("-m", "bolzakit.cli", "verify", "cost.json", "x.json",
+                        "--kappa", "10")
+    assert done.returncode in (0, 1), done.stderr
+    assert done.stderr == ""
+    report = jsonio.load_json(str(workdir / "x.certificate.json"))
+    assert math.isfinite(report["ell"]) and report["ell_provenance"] == "estimated"
 
 
 def test_solver_flag_defaults_are_the_config_defaults(workdir):

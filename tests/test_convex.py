@@ -179,8 +179,8 @@ def test_distance_examples():
 
 def test_contains_tolerance():
     S = cx.Box([0.0], [1.0])
-    assert cx.contains(S, [1.0 + 5e-8])
-    assert not cx.contains(S, [1.1])
+    assert cx.distance(S, [1.0 + 5e-8]) <= cx.FEASIBILITY_TOL
+    assert not cx.distance(S, [1.1]) <= cx.FEASIBILITY_TOL
 
 
 # ---------------------------------------------------------------------------

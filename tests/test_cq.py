@@ -78,6 +78,14 @@ def test_probe_requires_feasible_anchor():
                        delta=0.1, seed=0, cfg=_cfg(30))
 
 
+def test_probe_rejects_a_delta_that_overflows_the_perturbed_curves():
+    case = get_case("p2")
+    grid = Grid(1.0, 1)
+    with pytest.raises(ValueError, match="non-finite entries"):
+        cq.probe_kappa(case.problem, _line(grid, slope=0.5), samples=5,
+                       delta=1.7e308, seed=0, cfg=_cfg(1))
+
+
 def test_probe_records_expose_ratio_components():
     case = get_case("p2")
     grid = Grid(1.0, 30)

@@ -3,7 +3,7 @@ import pytest
 
 import bolzakit.funspace as fs
 
-from oracles import fit_order
+from oracles import fit_order, random_trajectory
 
 
 def _line(T=1.0, N=20, n=1, slope=1.0, offset=0.0):
@@ -64,7 +64,7 @@ def test_norm_equivalence_random_sample():
         T = float(rng.choice([0.5, 1.0, 2.0]))
         N = int(rng.choice([10, 100]))
         n = int(rng.integers(1, 4))
-        x = fs.random_trajectory(fs.Grid(T, N), n, rng)
+        x = random_trajectory(fs.Grid(T, N), n, rng)
         ac = fs.ac_norm(x)
         oo = fs.one_one_norm(x)
         sup = fs.sup_norm(x)
@@ -78,11 +78,13 @@ def test_norms_homogeneous_and_triangle():
     grid = fs.Grid(1.5, 30)
     for norm in (fs.ac_norm, fs.one_one_norm, fs.sup_norm):
         for _ in range(60):
-            x = fs.random_trajectory(grid, 2, rng)
-            y = fs.random_trajectory(grid, 2, rng)
+            x = random_trajectory(grid, 2, rng)
+            y = random_trajectory(grid, 2, rng)
             c = float(rng.uniform(-3, 3))
-            assert norm(c * x) == pytest.approx(abs(c) * norm(x), abs=1e-9)
-            assert norm(x + y) <= norm(x) + norm(y) + 1e-9
+            assert norm(fs.Trajectory(grid, c * x.values)) == pytest.approx(
+                abs(c) * norm(x), abs=1e-9)
+            assert norm(fs.Trajectory(grid, x.values + y.values)) <= (
+                norm(x) + norm(y) + 1e-9)
 
 
 def test_ac_dual_norm_is_the_dual_of_ac_norm():
@@ -94,7 +96,7 @@ def test_ac_dual_norm_is_the_dual_of_ac_norm():
         for _ in range(40):
             G = rng.standard_normal((N + 1, 2))
             dual = fs.ac_dual_norm(G)
-            u = fs.random_trajectory(grid, 2, rng)
+            u = random_trajectory(grid, 2, rng)
             pairing = float(np.einsum("ki,ki->", G, u.values))
             assert abs(pairing) <= dual * fs.ac_norm(u) * (1 + 1e-12)
             R = fs.tail_sums(G)
@@ -104,6 +106,30 @@ def test_ac_dual_norm_is_the_dual_of_ac_norm():
             u = fs.Trajectory(grid, step)
             assert fs.ac_norm(u) == pytest.approx(1.0, rel=1e-12)
             assert float(np.einsum("ki,ki->", G, step)) == pytest.approx(dual, rel=1e-12)
+
+
+def test_ac_norms_of_copies_are_the_one_curve_norms():
+    # bit for bit: the x(0) term is np.linalg.norm's BLAS dot in every copy
+    rng = np.random.default_rng(6)
+    for n in (1, 2, 3):
+        grid = fs.Grid(1.5, 40)
+        X = rng.standard_normal((5, 41, n))
+        single = [np.linalg.norm(x[0]) + grid.h * fs.row_norms(
+            np.diff(x, axis=0) / grid.h).sum() for x in X]
+        assert fs.ac_norms(X, grid.h).tolist() == single
+        assert [fs.ac_norm(fs.Trajectory(grid, x)) for x in X] == single
+
+
+def test_norms_whose_squares_overflow_stay_finite():
+    # rows are measured again scaled by a power of two only where the plain
+    # norm overflows; a non-finite row, or a norm beyond the float range,
+    # stays infinite
+    rows = np.array([[3e300, 4e300], [1.5e308, 1.5e308], [np.inf, 1.0], [3.0, 4.0]])
+    assert fs.scaled_row_norms(rows).tolist() == [5e300, np.inf, np.inf, 5.0]
+    assert fs.vector_norm(np.array([3e300, 4e300])) == 5e300
+    G = np.zeros((3, 2))
+    G[1] = [3e300, 4e300]
+    assert fs.ac_dual_norm(G) == 5e300
 
 
 # ---------------------------------------------------------------------------
@@ -124,7 +150,7 @@ def test_reconstruct_constant_case():
 def test_reconstruct_unit_slope():
     grid = fs.Grid(1.0, 32)
     l = fs.CellPath(grid, np.ones((32, 1)))
-    q = fs.CellPath(grid, grid.cell_mids()[:, None])
+    q = fs.CellPath(grid, (grid.cell_lefts() + 0.5 * grid.h)[:, None])
     qbar, rep = fs.reconstruct_ac(q, l, [0.0], [-1.0])
     assert np.allclose(qbar.values[:, 0], grid.nodes())
     h = grid.h
@@ -149,7 +175,7 @@ def test_reconstruct_starts_at_a_exactly():
 def test_pointwise_corruption_moves_only_r_match():
     grid = fs.Grid(1.0, 16)
     l = fs.CellPath(grid, np.ones((16, 1)))
-    q_vals = grid.cell_mids()[:, None].copy()
+    q_vals = (grid.cell_lefts() + 0.5 * grid.h)[:, None].copy()
     q = fs.CellPath(grid, q_vals)
     qbar, rep = fs.reconstruct_ac(q, l, [0.0], [-1.0])
     corrupted_vals = q_vals.copy()

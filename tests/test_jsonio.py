@@ -94,7 +94,7 @@ def _outputs(which):
     case = get_case("p2")
     grid = Grid(case.problem.T, 30)
     x = case.x_star(grid)
-    report = certify(case.problem, 1.1 * x, CellPath(grid, np.zeros((30, 1))),
+    report = certify(case.problem, Trajectory(grid, 1.1 * x.values), CellPath(grid, np.zeros((30, 1))),
                      None, None, kappa=10.0).to_dict()
     report["tolerances"]["el"] = float("nan")
     report["notes"].append(np.int64(3))

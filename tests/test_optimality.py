@@ -370,8 +370,8 @@ _BOX = _problem(
 
 
 @pytest.mark.parametrize(
-    "P, N", [(_SIN, 200), (_SIN, 1000), (_BOX, 200)],
-    ids=["sin-N200", "sin-N1000", "box-N200"],
+    "P, N", [(_SIN, 200), (_SIN, 1000), (_BOX, 20), (_BOX, 200), (_BOX, 4000)],
+    ids=["sin-N200", "sin-N1000", "box-N20", "box-N200", "box-N4000"],
 )
 def test_certify_accepts_solver_kkt_point(P, N):
     # the certificate checks the transcription's own stationarity system,

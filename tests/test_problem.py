@@ -6,9 +6,9 @@ import bolzakit.solver as sv
 from bolzakit import expr as ex
 from bolzakit.catalog import get_case
 from bolzakit.convex import Box, Product, Reals, Singleton
-from bolzakit.funspace import Grid, Trajectory, ac_dual_norm, ac_norm, random_trajectory
+from bolzakit.funspace import Grid, Trajectory, ac_dual_norm, ac_norm
 
-from oracles import fit_order, random_expr
+from oracles import fit_order, random_expr, random_trajectory
 
 
 def _make(n=1, T=1.0, phi="0", theta="v1^2/2", g=("0",), omega1=None, omega2=None,
@@ -110,8 +110,8 @@ def test_gateaux_matches_central_difference():
             with np.errstate(over="ignore", invalid="ignore"):
                 sym = _gateaux(P, x, u)
                 fd = (
-                    pb.evaluate_cost(P, x + eps * u)
-                    - pb.evaluate_cost(P, x - eps * u)
+                    pb.evaluate_cost(P, Trajectory(grid, x.values + eps * u.values))
+                    - pb.evaluate_cost(P, Trajectory(grid, x.values - eps * u.values))
                 ) / (2 * eps)
         except ex.ExprDomainError:
             continue
@@ -130,7 +130,7 @@ def test_gateaux_linear_in_direction():
         u1 = random_trajectory(grid, 1, rng)
         u2 = random_trajectory(grid, 1, rng)
         a = float(rng.uniform(-2, 2))
-        lhs = _gateaux(case.problem, x, a * u1 + u2)
+        lhs = _gateaux(case.problem, x, Trajectory(grid, a * u1.values + u2.values))
         rhs = a * _gateaux(case.problem, x, u1) + _gateaux(
             case.problem, x, u2
         )
@@ -407,14 +407,14 @@ def test_constraint_linearization_taylor_order():
     rng = np.random.default_rng(17)
     x = random_trajectory(grid, 1, rng, scale=0.5)
     d = random_trajectory(grid, 1, rng)
-    d = (1.0 / ac_norm(d)) * d
+    d = (1.0 / ac_norm(d)) * d.values
     sizes = [1e-1, 1e-2, 1e-3, 1e-4]
     defects = []
     for s in sizes:
-        u = s * d
+        U = s * d
         W, E = pb.finite_constraint_image(P, grid, x.values)
-        DW, DE = pb.constraint_derivative(P, grid, x.values, u.values)
-        W1, E1 = pb.finite_constraint_image(P, grid, (x + u).values)
+        DW, DE = pb.constraint_derivative(P, grid, x.values, U)
+        W1, E1 = pb.finite_constraint_image(P, grid, x.values + U)
         dv = W1 - W - DW
         de = E1 - E - DE
         h = grid.h
@@ -438,7 +438,7 @@ def test_constraint_derivative_first_order_accurate():
         try:
             W, E = pb.finite_constraint_image(P, grid, x.values)
             DW, DE = pb.constraint_derivative(P, grid, x.values, u.values)
-            W1, E1 = pb.finite_constraint_image(P, grid, (x + eps * u).values)
+            W1, E1 = pb.finite_constraint_image(P, grid, x.values + eps * u.values)
         except ex.ExprDomainError:
             continue
         dv = (W1 - W) / eps - DW

@@ -386,33 +386,36 @@ def test_restore_feasible_point_is_identity():
     case = get_case("p2")
     grid = Grid(1.0, 60)
     x = _line(grid, slope=0.5)
-    [res] = sv.restore_feasibility(case.problem, [x], sv.SolverConfig(grid_N=60))
-    assert res.converged
-    assert res.ac_gap <= 1e-9
-    assert np.allclose(res.y.values, x.values, atol=1e-9)
+    [y], [gap], [converged] = sv.restore_feasibility(
+        case.problem, grid, x.values[None], sv.SolverConfig(grid_N=60))
+    assert converged
+    assert gap <= 1e-9
+    assert np.allclose(y, x.values, atol=1e-9)
 
 
 def test_restore_clamps_speeding_curve():
     case = get_case("p2")
     grid = Grid(1.0, 100)
-    [res] = sv.restore_feasibility(
-        case.problem, [_line(grid, slope=2.0)], sv.SolverConfig(grid_N=100)
+    [y], [gap], [converged] = sv.restore_feasibility(
+        case.problem, grid, _line(grid, slope=2.0).values[None],
+        sv.SolverConfig(grid_N=100)
     )
-    assert res.converged
-    assert abs(res.ac_gap - 1.0) <= 5e-2
-    assert np.abs(res.y.values[:, 0] - grid.nodes()).max() <= 1e-2
+    assert converged
+    assert abs(gap - 1.0) <= 5e-2
+    assert np.abs(y[:, 0] - grid.nodes()).max() <= 1e-2
 
 
 def test_restore_repins_shifted_line():
     case = get_case("p1")
     grid = Grid(1.0, 100)
-    [res] = sv.restore_feasibility(
-        case.problem, [_line(grid, offset=0.1)], sv.SolverConfig(grid_N=100)
+    [y], [gap], [converged] = sv.restore_feasibility(
+        case.problem, grid, _line(grid, offset=0.1).values[None],
+        sv.SolverConfig(grid_N=100)
     )
-    assert res.converged
-    assert res.ac_gap <= 0.1 * 1.5
-    assert abs(res.ac_gap - 0.1) <= 5e-3
-    v, e = pb.feasibility_residual(case.problem, res.y)
+    assert converged
+    assert gap <= 0.1 * 1.5
+    assert abs(gap - 0.1) <= 5e-3
+    v, e = pb.feasibility_residual(case.problem, Trajectory(grid, y))
     assert v + e <= 1e-7
 
 
@@ -551,17 +554,17 @@ def test_restoring_copies_matches_one_curve_restorations(monkeypatch, outer_iter
         return blocks
 
     monkeypatch.setattr(sv._AlmState, "_aug_hessian", recorded)
-    together = sv.restore_feasibility(P, xs, cfg)
+    _, gaps, flags = sv.restore_feasibility(
+        P, grid, np.stack([x.values for x in xs]), cfg)
     assert max(corners) > 0
-    alone = [sv.restore_feasibility(P, [x], cfg)[0] for x in xs]
-    assert len(together) == len(xs)
-    for a, b in zip(together, alone):
-        assert a.converged == b.converged
+    alone = [sv.restore_feasibility(P, grid, x.values[None], cfg) for x in xs]
+    assert len(gaps) == len(flags) == len(xs)
+    for gap, ok, (_, [gap_alone], [ok_alone]) in zip(gaps, flags, alone):
+        assert ok == ok_alone
         # a nonconverged copy stops at an inexact inner minimizer: the
         # joint inner loop may take it one Newton step further
-        assert abs(a.ac_gap - b.ac_gap) <= (1e-9 if a.converged else 1e-6)
-    flags = [r.converged for r in together]
-    assert flags == ([True] * 4 if outer_iters > 1 else [True, False, False, False])
+        assert abs(gap - gap_alone) <= (1e-9 if ok else 1e-6)
+    assert flags.tolist() == ([True] * 4 if outer_iters > 1 else [True, False, False, False])
 
 
 def test_restore_nonconvergence_flags_bound_unverified():
@@ -569,9 +572,23 @@ def test_restore_nonconvergence_flags_bound_unverified():
     grid = Grid(1.0, 60)
     cfg = sv.SolverConfig(grid_N=60, outer_iters=1, feas_tol=1e-12,
                           inner_tol=1e-13)
-    [res] = sv.restore_feasibility(case.problem, [_line(grid, slope=2.0)], cfg)
-    assert not res.converged  # the gap is still returned, just unverified
-    assert res.ac_gap >= 0.0
+    _, [gap], [converged] = sv.restore_feasibility(
+        case.problem, grid, _line(grid, slope=2.0).values[None], cfg)
+    assert not converged  # the gap is still returned, just unverified
+    assert gap >= 0.0
+
+
+@pytest.mark.parametrize("T, X", [
+    (2.0, np.zeros((1, 11, 1))),              # another horizon
+    (1.0, np.zeros((1, 11, 2))),              # another dimension
+    (1.0, np.zeros((11, 1))),                 # no copy axis
+    (1.0, np.zeros((1, 12, 1))),              # another grid
+    (1.0, np.full((1, 11, 1), np.nan)),       # not finite
+], ids=["horizon", "dimension", "copy-axis", "nodes", "nan"])
+def test_restore_rejects_curves_it_cannot_restore(T, X):
+    with pytest.raises(pb.ProblemError, match="curves to restore"):
+        sv.restore_feasibility(get_case("p2").problem, Grid(T, 10), X,
+                               sv.SolverConfig(grid_N=10))
 
 
 def test_warm_start_grid_mismatch_rejected():
