@@ -27,7 +27,7 @@ import math
 
 import numpy as np
 
-from .funspace import row_norms
+from .funspace import row_norms, vector_norm
 
 FEASIBILITY_TOL = 1e-7
 PROJECTION_TOL = 1e-12
@@ -761,4 +761,4 @@ def neg_normal_sum_distance(S1: ConvexSet, x1, S2: ConvexSet, x2, v) -> float:
     A1, b1 = _halfspaces(tangent_cone(S1, x1))
     A2, b2 = _halfspaces(tangent_cone(S2, x2))
     inter = Polyhedron(np.vstack([A1, A2]), np.concatenate([b1, b2]))
-    return float(np.linalg.norm(project(inter, -v)))
+    return vector_norm(project(inter, -v))

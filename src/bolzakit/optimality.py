@@ -198,7 +198,7 @@ def reconstruct_adjoint(P: pb.ProblemSpec, x: Trajectory, mu: CellPath) -> Traje
 def el_residual(L: np.ndarray) -> float:
     """L1 norm of the discrete adjoint-equation defect: the interior
     stationarity rows sum_{k=1}^{N-1} |L_k|."""
-    return float(row_norms(L[1:-1]).sum())
+    return float(scaled_row_norms(L[1:-1]).sum())
 
 
 def weierstrass_gap(
@@ -295,6 +295,15 @@ def integrated_endpoint_residual(
     return neg_normal_sum_distance(set0, a0, setT, aT, L.sum(axis=0))
 
 
+def _within(value: float, tol: float) -> bool:
+    """value <= tol, with both finite: no check passes on an overflow."""
+    return math.isfinite(value) and math.isfinite(tol) and value <= tol
+
+
+def _verdict(value: float, tol: float) -> str:
+    return "pass" if _within(value, tol) else "fail"
+
+
 def certify(
     P: pb.ProblemSpec,
     x: Trajectory,
@@ -335,8 +344,8 @@ def certify(
     W = project(P.omega1, W)
     theta_x, theta_v = P.theta_grad_cells(*pb._cells(grid, x.values))
     el_scale = 1.0 + float(
-        row_norms(theta_x).max(initial=0.0)
-        + row_norms(theta_v).max(initial=0.0)
+        scaled_row_norms(theta_x).max(initial=0.0)
+        + scaled_row_norms(theta_v).max(initial=0.0)
     )
     el_tol = tol.el if tol.el is not None else EL_BASE * el_scale
 
@@ -376,16 +385,16 @@ def certify(
         est = pb.estimate_lipschitz(P, x, seed=seed)
         ell_val, ell_prov = est.value, est.provenance
         bound = kappa * ell_val
-        bound_ok = lam <= bound
+        bound_ok = _within(lam, bound)
 
     ie = integrated_endpoint_residual(P, E, L) if feasible else None
 
     verdicts = {
         "feasibility": "pass" if feasible else "fail",
-        "el": "pass" if el <= el_tol else "fail",
-        "wp": "pass" if wp_max <= tol.wp_gap else "fail",
-        "transversality": "pass" if tr <= tol.transversality else "fail",
-        "mu_membership": "pass" if nc <= tol.mu_membership else "fail",
+        "el": _verdict(el, el_tol),
+        "wp": _verdict(wp_max, tol.wp_gap),
+        "transversality": _verdict(tr, tol.transversality),
+        "mu_membership": _verdict(nc, tol.mu_membership),
         "bound": (
             "skipped" if bound_ok is None else ("pass" if bound_ok else "fail")
         ),

@@ -30,10 +30,14 @@ do not depend on the grid.  One line search serves every step: halvings
 from the unit step, tested by Armijo while the predicted decrease is
 above float resolution and by a shrinking gradient below it.
 
-An iterate is evaluated once: the Hessian, the dual update, the outer
-measurement and the complementarity test read that evaluation, its
-constraint image included.  The outer loop stops at a feasible iterate
-whose Lagrangian gradient is below the inner tolerance and whose
+Each point's cost, cost gradient and constraint image are computed once.
+The Hessian, the dual update, the outer measurement and the
+complementarity test read the evaluation of their iterate.  A shorter
+step that Armijo accepts on its value adds only the cost gradient and
+the adjoint.  The next inner loop starts from the last iterate's cost,
+cost gradient and image: only the shifted residual, the penalty and the
+adjoint depend on the new duals.  The outer loop stops at a feasible
+iterate whose Lagrangian gradient is below the inner tolerance and whose
 multipliers lie in the normal cones (the complementarity residual of the
 dual update is below feas_tol).
 
@@ -77,7 +81,7 @@ _ARMIJO_C = 1e-4
 @dataclass(frozen=True)
 class SolverConfig:
     grid_N: int = 200
-    penalty_rho: float = 10.0
+    penalty_rho: float = 100.0
     penalty_growth: float = 4.0
     outer_iters: int = 60
     inner_tol: float = 1e-7
@@ -172,6 +176,10 @@ class _AlmState:
         self.X = X0.copy()
         # the node array under evaluation: the snapshot of a domain error
         self.point = self.X
+        # (cost, constraint image, cost gradient) at X while known: the
+        # inner loop takes them from here and leaves its last iterate's, so
+        # no caller's reference keeps them alive through a Newton solve
+        self.known = None
         self.mu = np.zeros((len(X0), grid.N, P.n))
         self.s = np.zeros((len(X0), 2 * P.n))
         self.rho = cfg.penalty_rho
@@ -192,22 +200,33 @@ class _AlmState:
         return 0.5 * self.rho * (self.grid.h * float(np.einsum("bki,bki->", RW, RW))
                                  + float(np.vdot(RE, RE)))
 
-    def aug_value(self, X: np.ndarray) -> float:
-        self.point = X
-        base = self.value(X)
-        image = pb.constraint_image(self.P, self.grid, X)
-        return base + self._penalty(*self._shifted(*image))
+    def _augment(self, J: float, image):
+        """(augmented value, J, (image, R)) at a point of cost J and
+        constraint image ``image``: R is the image's shifted residual
+        _shifted(W, E)."""
+        R = self._shifted(*image)
+        return J + self._penalty(*R), J, (image, R)
 
-    def aug_value_and_grad(self, X: np.ndarray):
-        """(augmented value, its node gradient, cost, (image, R)) at X: the
-        constraint image (W, E) and its shifted residual _shifted(W, E)."""
+    def aug_value(self, X: np.ndarray):
+        """(augmented value, cost, (image, R)) at X."""
         self.point = X
-        J = self.value(X)
-        image = pb.constraint_image(self.P, self.grid, X)
-        RW, RE = self._shifted(*image)
-        G = self.grad(X) + self.rho * pb.constraint_adjoint(self.P, self.grid,
-                                                            X, RW, RE)
-        return J + self._penalty(RW, RE), G, J, (image, (RW, RE))
+        return self._augment(self.value(X), pb.constraint_image(self.P, self.grid, X))
+
+    def aug_value_and_grad(self, X: np.ndarray, value=None, grad_J=None):
+        """(augmented value, its node gradient, cost, (image, R), cost
+        gradient) at X: the constraint image (W, E) and its shifted residual
+        _shifted(W, E).  What is known at X is passed and not computed
+        again: ``value``, aug_value(X) under the current duals, and
+        ``grad_J``, the cost gradient."""
+        self.point = X
+        if value is None:
+            value = self._augment(self.value(X),
+                                  pb.constraint_image(self.P, self.grid, X))
+        F, J, (image, R) = value
+        if grad_J is None:
+            grad_J = self.grad(X)
+        G = grad_J + self.rho * pb.constraint_adjoint(self.P, self.grid, X, *R)
+        return F, G, J, (image, R), grad_J
 
     def _aug_hessian(self, X: np.ndarray, constraint):
         """Generalized Hessian of the augmented objective at X, with image
@@ -264,7 +283,8 @@ class _AlmState:
         (trial)) or None; one step length serves every copy.  While the
         predicted decrease alpha |<G, D>| exceeds plateau, an Armijo test
         decides, with the gradient for the unit trial (an accepted unit
-        step costs one evaluation) and on values alone below it.  Below
+        step costs one evaluation) and on values alone below it (an
+        accepted shorter step adds its gradient to its value).  Below
         plateau values are float noise, and the first of 8 trials that
         shrinks the gradient's metric norm squared to 0.995 of itself
         passes."""
@@ -280,8 +300,9 @@ class _AlmState:
             alpha = 0.5
             while alpha * -slope > plateau:
                 trial = X + alpha * D
-                if self.aug_value(trial) <= F + _ARMIJO_C * alpha * slope:
-                    return (trial, *self.aug_value_and_grad(trial))
+                value = self.aug_value(trial)
+                if value[0] <= F + _ARMIJO_C * alpha * slope:
+                    return (trial, *self.aug_value_and_grad(trial, value))
                 alpha *= 0.5
         target = 0.995 * (self._metric_norms(G) ** 2).sum()
         for _ in range(8):
@@ -297,11 +318,17 @@ class _AlmState:
         SSNAL, Li, Sun & Toh, SIAM J. Optim. 28, 2018), stopped when every
         copy's gradient has curve-metric norm at most inner_tol.  The shift
         tau of the Newton system starts at 0, grows only when a pivot is
-        not positive, and falls tenfold after each accepted step; returns
-        the last iterate's J, G and (image, R)."""
+        not positive, and falls tenfold after each accepted step.  The
+        cost, image and cost gradient at the start are self.known when
+        known.  Returns the last iterate's J, G and (image, R), and leaves
+        its cost, image and cost gradient in self.known."""
         cfg = self.cfg
         X = self.X
-        F, G, J, constraint = self.aug_value_and_grad(X)
+        known, self.known = self.known, None
+        F, G, J, constraint, grad_J = (
+            self.aug_value_and_grad(X) if known is None
+            else self.aug_value_and_grad(X, self._augment(*known[:2]), known[2]))
+        del known
         eps = float(np.finfo(float).eps)
         tau = 0.0
         for _ in range(cfg.inner_max_steps):
@@ -314,13 +341,17 @@ class _AlmState:
             # below this scale an Armijo decrease is not representable in
             # doubles
             plateau = 16.0 * eps * (1.0 + abs(F))
+            grad_J = step = None  # not kept through the Newton solve
             D, tau = self._newton_direction(X, G, constraint, tau)
             step = None if D is None else self._line_search(X, F, G, D, plateau)
             if step is None:
                 break  # true stationarity floor for this arithmetic
-            X, F, G, J, constraint = step
+            X, F, G, J, constraint, grad_J = step
             tau = 0.1 * tau if tau > 1e-6 else 0.0
         self.X = self.point = X
+        if grad_J is None:  # no step from X: its cost gradient was dropped
+            grad_J = self.grad(X)
+        self.known = (J, constraint[0], grad_J)
         return J, G, constraint
 
     def complementarity(self, image) -> np.ndarray:
@@ -339,15 +370,15 @@ class _AlmState:
     def initialize_endpoint_duals(self, G: np.ndarray, E: np.ndarray) -> np.ndarray:
         """Least-squares endpoint multipliers, projected onto the normal
         cone at the projected endpoint pair E, from the objective's gradient
-        G at X; returns G updated in place to the Lagrangian gradient at (X,
-        0, s).  At a stationary warm start with inactive cell constraints it
-        vanishes, so a solve started at an optimum converges in one outer
-        iteration."""
+        G at X; returns the Lagrangian gradient at (X, 0, s).  At a
+        stationary warm start with inactive cell constraints it vanishes, so
+        a solve started at an optimum converges in one outer iteration."""
         ends = -np.concatenate([G[:, 0], G[:, -1]], axis=1)
         self.s = np.array([project_normal_cone(self.P.omega2, z, xi) for z, xi
                            in zip(project(self.P.omega2, E), ends)])
-        G[:, [0, -1]] += self.s.reshape(len(G), 2, -1)
-        return G
+        L = G.copy()
+        L[:, [0, -1]] += self.s.reshape(len(G), 2, -1)
+        return L
 
     def measure(self, J: float, G: np.ndarray, image):
         """(objective, velocity defects, endpoint defects, stationarities)
@@ -387,6 +418,7 @@ def _run_alm(P: pb.ProblemSpec, cfg: SolverConfig, grid: Grid, value, grad,
     try:
         J, G = state.value(state.X), state.grad(state.X)
         image = pb.constraint_image(P, grid, state.X)
+        state.known = (J, image, G)
         objective, vdef, edef, stat = state.measure(
             J, state.initialize_endpoint_duals(G, image[1]), image)
         del G

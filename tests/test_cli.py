@@ -452,6 +452,21 @@ def test_lipschitz_estimate_measures_slopes_whose_squares_overflow(workdir):
     assert math.isfinite(report["ell"]) and report["ell_provenance"] == "estimated"
 
 
+def test_no_verdict_passes_on_an_overflowed_residual(workdir):
+    # at x = 20 every stationarity row and cost gradient of exp(x1^2) is
+    # finite, but their squares overflow: the EL residual and its
+    # tolerance stay finite, and the residual is far above it
+    _write_cost(workdir / "cost.json", "exp(x1^2)+v1^2/2")
+    _write_line(workdir / "x.json", N=10, slope=0.0, offset=20.0)
+    done = _run_program("-m", "bolzakit.cli", "verify", "cost.json", "x.json")
+    lines = done.stderr.splitlines()
+    assert not lines or (len(lines) == 1 and lines[0].startswith("error: ")), done.stderr
+    report = jsonio.load_json(str(workdir / "x.certificate.json"))
+    assert report["verdicts"]["el"] == "fail"
+    assert math.isfinite(report["el_residual_l1"])
+    assert math.isfinite(report["tolerances"]["el"])
+
+
 def test_solver_flag_defaults_are_the_config_defaults(workdir):
     args = cli.build_parser("solve").parse_args(["solve", "p2.json"])
     assert cli._solver_config(args) == SolverConfig()

@@ -9,7 +9,8 @@ import bolzakit.solver as sv
 from bolzakit import expr as ex
 from bolzakit.catalog import get_case
 from bolzakit.convex import (
-    Box, Product, Reals, Singleton, normal_cone_residual, project, support,
+    Ball, Box, Polyhedron, Product, Reals, Singleton, normal_cone_residual,
+    project, support,
 )
 from bolzakit.funspace import CellPath, Grid, Trajectory
 
@@ -369,9 +370,48 @@ _BOX = _problem(
 )
 
 
+def _rot(angle):
+    return [math.cos(angle), math.sin(angle)]
+
+
+def _lit(value):
+    """A real as an expression literal (the grammar has no signed ones)."""
+    return f"({value!r})"
+
+
+def _wedge(target_angle, axis=1.0, half=0.1):
+    """Velocities in the wedge of half-angle ``half`` around the axis at
+    angle ``axis``, a unit target velocity at ``target_angle`` and a pinned
+    start."""
+    c = _rot(target_angle)
+    return _problem(
+        2, f"((v1-{_lit(c[0])})^2+(v2-{_lit(c[1])})^2)/2", ["0", "0"],
+        Polyhedron([_rot(axis + half + math.pi / 2), _rot(axis - half - math.pi / 2)],
+                   [0.0, 0.0]),
+        Product([Singleton([0.0, 0.0]), Reals(2)]),
+    )
+
+
+# the target beyond the + face projects onto it; the one opposite the axis
+# lies in the polar cone, so the optimum rests at the apex
+_FACE = _wedge(1.0 + 0.1 + 0.5)
+_APEX = _wedge(1.0 + math.pi)
+_X0 = [0.01, -0.015]
+_Z = [x + 1.5 * r for x, r in zip(_X0, _rot(0.8))]
+_BALL = _problem(
+    2, "(v1^2+v2^2)/2+cos(x2)", ["0.5*x2", "-0.5*x1"], Ball([0.0, 0.0], 1.0),
+    Product([Singleton(_X0), Reals(2)]),
+    phi=f"5*((xT_1-{_lit(_Z[0])})^2+(xT_2-{_lit(_Z[1])})^2)/2",
+)
+
+
 @pytest.mark.parametrize(
-    "P, N", [(_SIN, 200), (_SIN, 1000), (_BOX, 20), (_BOX, 200), (_BOX, 4000)],
-    ids=["sin-N200", "sin-N1000", "box-N20", "box-N200", "box-N4000"],
+    "P, N", [(_SIN, 200), (_SIN, 1000), (_BOX, 20), (_BOX, 200), (_BOX, 4000),
+             (_FACE, 20), (_FACE, 200), (_APEX, 20), (_APEX, 200),
+             (_BALL, 20), (_BALL, 200)],
+    ids=["sin-N200", "sin-N1000", "box-N20", "box-N200", "box-N4000",
+         "face-N20", "face-N200", "apex-N20", "apex-N200",
+         "ball-N20", "ball-N200"],
 )
 def test_certify_accepts_solver_kkt_point(P, N):
     # the certificate checks the transcription's own stationarity system,

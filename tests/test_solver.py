@@ -198,7 +198,7 @@ def test_gradient_evaluations_do_not_depend_on_grid(monkeypatch):
         assert sv.solve(_curved_problem(), sv.SolverConfig(grid_N=N)).converged
         counts.append(len(evals))
     assert max(counts) <= 1.15 * min(counts), counts
-    assert max(counts) <= 20, counts
+    assert max(counts) <= 10, counts
 
 
 def _ball_drift_problem():
@@ -217,8 +217,8 @@ def _ball_drift_problem():
     )
 
 
-@pytest.mark.parametrize("problem, most", [(_curved_problem, 6),
-                                           (_ball_drift_problem, 7)],
+@pytest.mark.parametrize("problem, most", [(_curved_problem, 4),
+                                           (_ball_drift_problem, 5)],
                          ids=["curved", "ball-drift"])
 def test_outer_iterations_do_not_depend_on_grid(problem, most):
     # the penalty grows after every infeasible outer iteration
@@ -231,24 +231,40 @@ def test_outer_iterations_do_not_depend_on_grid(problem, most):
 @pytest.mark.parametrize("problem", [_curved_problem, _ball_drift_problem],
                          ids=["curved", "ball-drift"])
 def test_each_point_is_evaluated_once(monkeypatch, problem):
-    # the Hessian, the dual update, the outer measurement and the
-    # complementarity test read the line search's evaluation: a constraint
-    # image, a cost gradient and a cost for each augmented gradient, an
-    # image and a cost for each augmented value, plus one of each for the
-    # start; a shifted image for each augmented evaluation and
-    # complementarity test
-    shifted = _count_calls(monkeypatch, "_shifted")
-    values = _count_calls(monkeypatch, "aug_value")
-    grads = _count_calls(monkeypatch, "aug_value_and_grad")
-    comps = _count_calls(monkeypatch, "complementarity")
-    costs = _count_calls(monkeypatch, "cost", owner=pb)
-    cost_grads = _count_calls(monkeypatch, "cost_gradient", owner=pb)
-    images = _count_calls(monkeypatch, "constraint_image", owner=pb)
+    # the Hessian, the dual update, the outer measurement, the
+    # complementarity test and the next inner loop's start read the
+    # evaluation of their point, and an accepted shorter step adds its
+    # gradient to its value: no node array reaches the cost, its gradient
+    # or the constraint image twice
+    calls = {name: _count_calls(monkeypatch, name, owner=pb)
+             for name in ("cost", "cost_gradient", "constraint_image")}
     assert sv.solve(problem(), sv.SolverConfig(grid_N=200)).converged
-    assert len(shifted) == len(values) + len(grads) + len(comps)
-    assert len(cost_grads) == len(grads) + 1
-    assert len(costs) == len(values) + len(grads) + 1
-    assert len(images) == len(values) + len(grads) + 1
+    points = {name: [args[2].tobytes() for args, _ in made]
+              for name, made in calls.items()}
+    for name, keys in points.items():
+        assert len(set(keys)) == len(keys), name
+    assert set(points["cost"]) == set(points["constraint_image"])
+    assert set(points["cost_gradient"]) <= set(points["cost"])
+
+
+def test_reused_evaluations_equal_fresh_ones(monkeypatch):
+    # the inner loop's start and an accepted shorter step reuse what is
+    # known at their point; evaluating every point afresh gives the same bits
+    P = _ball_drift_problem()
+    cfg = sv.SolverConfig(grid_N=200)
+    passed = _count_calls(monkeypatch, "aug_value_and_grad")
+    reused = sv.solve(P, cfg)
+    # (self, X, value) from the line search, (self, X, value, grad_J) from
+    # the start of an inner loop
+    assert {len(args) for args, _ in passed} == {2, 3, 4}
+    original = sv._AlmState.aug_value_and_grad
+    monkeypatch.setattr(sv._AlmState, "aug_value_and_grad",
+                        lambda self, X, value=None, grad_J=None: original(self, X))
+    fresh = sv.solve(P, cfg)
+    assert fresh.history == reused.history
+    for a, b in ((fresh.x.values, reused.x.values), (fresh.mu.values, reused.mu.values),
+                 (fresh.s1, reused.s1), (fresh.s2, reused.s2)):
+        assert np.array_equal(a, b)
 
 
 def _coupled_problem():
@@ -301,7 +317,7 @@ def test_newton_direction_tends_to_metric_gradient_step():
     # (x(0), velocity) coordinates are minus the tail sums of G
     state = _state(_curved_problem(), 50)
     X = state.X
-    _, G, _, shifted = state.aug_value_and_grad(X)
+    _, G, _, shifted, _ = state.aug_value_and_grad(X)
     R = tail_sums(G[0])
     D, tau = state._newton_direction(X, G, shifted, 1e9)
     assert tau == 1e9
@@ -318,7 +334,7 @@ def test_newton_step_satisfies_secant_condition():
     state = _state(P, 40)
     t = state.grid.nodes()[:, None]
     X = np.hstack([0.1 + 0.3 * t, -0.2 * t ** 2])[None]
-    _, G, _, shifted = state.aug_value_and_grad(X)
+    _, G, _, shifted, _ = state.aug_value_and_grad(X)
     D, tau = state._newton_direction(X, G, shifted, 0.0)
     metric = pb.node_blocks(state.grid, 2, 1)
     sv._add_curve_metric(metric, state.grid, 1.0)
